@@ -46,7 +46,13 @@
 #      on a pinned layer, and `dse --fields num_pvs,schedule` must rank
 #      (geometry x schedule) points with schedule-aware cache keys (the
 #      schedule benchmarks in benchmarks/bench_schedule.py separately
-#      enforce the same contracts under timing).
+#      enforce the same contracts under timing);
+#  11. the repo benchmark's self-tests (perfbench/selftest.py): every
+#      workload runs in short mode untraced and traced with every metric of
+#      BENCHMARK.json reported and no failed op, a corrupted expected value
+#      must fail every op, and the benchmark's goldens must match the
+#      tier-1 golden regression (the traced run wraps simulate_layers on
+#      simulator instances, so this guards that entry point too).
 #
 # Usage: scripts/ci.sh [extra pytest args for the tier-1 step]
 set -eu
@@ -424,5 +430,8 @@ assert any(len(metrics) > 1 for metrics in by_geometry.values()), by_geometry
 print("dse schedule axis OK:", len(points), "points across",
       len(schedules), "schedules,", len(payload["frontier"]), "on the frontier")
 PY
+
+echo "== benchmark self-tests (perfbench/selftest.py) =="
+python3 perfbench/selftest.py
 
 echo "CI OK"

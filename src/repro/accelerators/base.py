@@ -158,29 +158,12 @@ class GanSimulatorBase:
     ) -> Tuple[LayerResult, ...]:
         """Simulate a batch of bound layers (the network-simulation hot path).
 
-        The default delegates to :meth:`simulate_layer` per binding; the
-        built-in analytical simulators override it with vectorized
-        whole-table estimators that produce bit-identical results.  The
-        runner's layer-grain memo also routes its misses through this entry
-        point so shared layer shapes are computed in one batch.
+        Runs :meth:`simulate_layer` per binding and returns the results in
+        binding order.  Network and GAN simulation route every layer through
+        this entry point, and so does the runner's layer-grain memo for its
+        misses, which makes it the one place to observe or time a batch.
         """
         return tuple(self.simulate_layer(binding) for binding in bindings)
-
-    def _layer_results_from_estimates(
-        self, bindings: Sequence[LayerBinding], estimates: Sequence[object]
-    ) -> Tuple[LayerResult, ...]:
-        """Price and batch-scale a column of raw per-layer estimates."""
-        return tuple(
-            self._layer_result(
-                binding,
-                cycles=estimate.cycles,
-                active_pe_cycles=estimate.active_pe_cycles,
-                busy_pe_cycles=estimate.busy_pe_cycles,
-                total_pe_cycles=estimate.total_pe_cycles,
-                counters=estimate.counters,
-            )
-            for binding, estimate in zip(bindings, estimates)
-        )
 
     def _layer_result(
         self,

@@ -11,14 +11,14 @@ itself as the ``"eyeriss"`` entry of the accelerator registry.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Tuple
 
 from ..accelerators.base import GanSimulatorBase
 from ..accelerators.registry import register_accelerator
 from ..analysis.results import LayerResult
 from ..config import SimulationOptions
 from ..nn.network import LayerBinding
-from .performance import estimate_layer, estimate_network
+from .performance import estimate_layer
 
 #: Canonical accelerator identifier used in results.
 ACCELERATOR_NAME = "eyeriss"
@@ -46,13 +46,6 @@ class EyerissSimulator(GanSimulatorBase):
             total_pe_cycles=estimate.total_pe_cycles,
             counters=estimate.counters,
         )
-
-    def simulate_layers(
-        self, bindings: Sequence[LayerBinding]
-    ) -> Tuple[LayerResult, ...]:
-        """Simulate a batch of layers through the vectorized estimator."""
-        estimates = estimate_network(bindings, self._config)
-        return self._layer_results_from_estimates(bindings, estimates)
 
     def config_space(self) -> Tuple[str, ...]:
         """The baseline model has no MIMD machinery to configure."""

@@ -26,15 +26,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
-
-import numpy as np
+from typing import Tuple
 
 from ..baseline.performance import (
     BaselineLayerEstimate,
-    _float64_safe,
     estimate_layer as baseline_estimate,
-    estimate_network as baseline_estimate_network,
     gbuf_input_tiles,
 )
 from ..baseline.row_stationary import RowStationaryMapping, map_layer
@@ -49,15 +45,15 @@ from .dataflow import ScheduleSummary, schedule_summary
 
 
 def _iround(value: float) -> int:
-    """Deterministic nearest-integer rounding shared by every estimator path.
+    """Deterministic nearest-integer rounding of a float model quantity.
 
     Plain ``int(round(x))`` is half-to-even on the arriving float64, which
-    makes the result sensitive to sub-ULP noise when the scalar and the
-    vectorized (NumPy) paths produce the same quantity through different but
-    algebraically equal float expressions.  Quantizing to nine decimals first
-    snaps that noise away while preserving the half-to-even behaviour on
-    genuine ties (e.g. an exactly-2.5 average filter-row count still rounds
-    to 2).
+    makes the result sensitive to sub-ULP noise: algebraically equal float
+    expressions evaluated in a different order can land on either side of a
+    tie.  Quantizing to nine decimals first snaps that noise away, so results
+    do not depend on evaluation order, while preserving the half-to-even
+    behaviour on genuine ties (e.g. an exactly-2.5 average filter-row count
+    still rounds to 2).
     """
     return int(round(round(float(value), 9)))
 
@@ -105,7 +101,7 @@ def estimate_layer(
         if not zero_skipping:
             return _estimate_dense_transposed_conv(binding, config, spec)
         return _estimate_transposed_conv(binding, config, spec)
-    return _from_baseline(baseline_estimate(binding, config), mode="simd")
+    return _from_baseline(baseline_estimate(binding, config))
 
 
 def _dispatch_overhead(
@@ -122,9 +118,8 @@ def _dispatch_overhead(
 
     The schedule spec scales the tax with pure-integer factors — repeat
     unrolling multiplies the dispatch events, configuration hoisting shrinks
-    the per-event µop-fetch fan-out — applied identically here and in the
-    vectorized layer table, so the scalar and NumPy paths stay bit-identical
-    and the default spec reproduces the legacy numbers exactly.
+    the per-event µop-fetch fan-out — so the default spec reproduces the
+    legacy numbers exactly.
     """
     dispatch_events = (
         schedule.output_rows
@@ -138,7 +133,7 @@ def _dispatch_overhead(
     return dispatch_events, dispatch_cycles, uop_fetches
 
 
-def _from_baseline(estimate: BaselineLayerEstimate, mode: str) -> GanaxLayerEstimate:
+def _from_baseline(estimate: BaselineLayerEstimate) -> GanaxLayerEstimate:
     """Wrap a baseline estimate: GANAX matches EYERISS on conventional layers."""
     return GanaxLayerEstimate(
         layer_name=estimate.layer_name,
@@ -151,7 +146,7 @@ def _from_baseline(estimate: BaselineLayerEstimate, mode: str) -> GanaxLayerEsti
         busy_pe_cycles=estimate.busy_pe_cycles,
         total_pe_cycles=estimate.total_pe_cycles,
         counters=estimate.counters,
-        mode=mode,
+        mode="simd",
     )
 
 
@@ -263,18 +258,7 @@ def _estimate_dense_transposed_conv(
     output row per access pattern, which is pure overhead here — the variant
     pays the GANAX dispatch tax without harvesting any sparsity.
     """
-    return _dense_tconv_from_base(
-        binding, baseline_estimate(binding, config), config, spec
-    )
-
-
-def _dense_tconv_from_base(
-    binding: LayerBinding,
-    base: BaselineLayerEstimate,
-    config: ArchitectureConfig,
-    spec: ScheduleSpec,
-) -> GanaxLayerEstimate:
-    """Overlay the MIMD dispatch tax on a precomputed baseline estimate."""
+    base = baseline_estimate(binding, config)
     schedule = schedule_summary(binding)
     _events, dispatch_cycles, uop_fetches = _dispatch_overhead(schedule, config, spec)
     cycles = max(
@@ -326,172 +310,6 @@ def _reorganized_mapping(
         sets_per_pass=sets_per_pass,
         occupancy=occupancy,
     )
-
-
-# ----------------------------------------------------------------------
-# Vectorized whole-network estimation
-# ----------------------------------------------------------------------
-def estimate_network(
-    bindings: Sequence[LayerBinding],
-    config: ArchitectureConfig,
-    *,
-    zero_skipping: bool = True,
-    schedule: ScheduleLike = None,
-) -> Tuple[GanaxLayerEstimate, ...]:
-    """Estimate every layer of a network on GANAX as one NumPy array program.
-
-    Conventional layers route through the baseline's vectorized layer table
-    (GANAX matches EYERISS on them); transposed convolutions are evaluated
-    column-wise over a MIMD-SIMD layer table.  Bit-identical to mapping
-    :func:`estimate_layer` over the bindings — layers whose intermediates
-    would lose float64 exactness fall back to the scalar path.
-    """
-    spec = resolve_schedule(schedule)
-    bindings = tuple(bindings)
-    estimates: List[GanaxLayerEstimate] = [None] * len(bindings)  # type: ignore[list-item]
-    tconv = [
-        (i, b) for i, b in enumerate(bindings)
-        if isinstance(b.layer, TransposedConvLayer)
-    ]
-    rest = [
-        (i, b) for i, b in enumerate(bindings)
-        if not isinstance(b.layer, TransposedConvLayer)
-    ]
-    if rest:
-        base_estimates = baseline_estimate_network([b for _i, b in rest], config)
-        for (i, _b), base in zip(rest, base_estimates):
-            estimates[i] = _from_baseline(base, mode="simd")
-    if tconv:
-        tconv_bindings = [b for _i, b in tconv]
-        if zero_skipping:
-            tconv_estimates = _tconv_table_estimates(tconv_bindings, config, spec)
-        else:
-            tconv_estimates = [
-                _dense_tconv_from_base(b, base, config, spec)
-                for b, base in zip(
-                    tconv_bindings,
-                    baseline_estimate_network(tconv_bindings, config),
-                )
-            ]
-        for (i, _b), estimate in zip(tconv, tconv_estimates):
-            estimates[i] = estimate
-    return tuple(estimates)
-
-
-def _tconv_table_estimates(
-    bindings: Sequence[LayerBinding], config: ArchitectureConfig, spec: ScheduleSpec
-) -> List[GanaxLayerEstimate]:
-    """The zero-skipping MIMD-SIMD rows of the layer table, column-wise."""
-    summaries = [schedule_summary(b) for b in bindings]
-    mappings = [
-        _reorganized_mapping(b, s, config) for b, s in zip(bindings, summaries)
-    ]
-    cons = [b.consequential_macs for b in bindings]
-    out_elems = [b.output_shape.num_elements for b in bindings]
-    in_elems = [b.input_shape.num_elements for b in bindings]
-    weights = [b.weight_count for b in bindings]
-    depth_taps = [_depth_tap_factor(b.layer, b) for b in bindings]
-    tiles = [gbuf_input_tiles(elements, config) for elements in in_elems]
-
-    # Pure-integer columns, exact in Python; the schedule factors are the
-    # same integers _dispatch_overhead applies on the scalar path.
-    event_multiplier = spec.dispatch_event_multiplier()
-    fetches_per_event = spec.uop_fetches_per_event(config.num_pvs)
-    dispatch_events = [
-        s.output_rows * max(1, s.num_patterns) * event_multiplier
-        for s in summaries
-    ]
-    uop_fetches = [events * fetches_per_event for events in dispatch_events]
-    weight_reads = [w * t for w, t in zip(weights, tiles)]
-    dram_read = [e + wr for e, wr in zip(in_elems, weight_reads)]
-    dram_bytes = [
-        (r + o) * config.data_bytes for r, o in zip(dram_read, out_elems)
-    ]
-    m_passes = [
-        max(1, math.ceil(b.output_shape.channels / max(1, m.sets_per_pass)))
-        for b, m in zip(bindings, mappings)
-    ]
-    gbuf_input_reads = [e * p for e, p in zip(in_elems, m_passes)]
-    dispatch_work = [
-        events * config.mimd_dispatch_overhead_cycles for events in dispatch_events
-    ]
-
-    if not _float64_safe(cons, out_elems, dram_bytes, dispatch_work):
-        return [_estimate_transposed_conv(b, config, spec) for b in bindings]
-
-    peak = config.num_pes
-    utilization_cap = config.ganax_target_utilization
-    occupancy = np.array([m.occupancy for m in mappings], dtype=np.float64)
-    effective_throughput = peak * occupancy * utilization_cap
-    if np.any(effective_throughput <= 0):
-        bad = bindings[int(np.argmax(effective_throughput <= 0))]
-        raise SimulationError(f"{bad.name}: zero effective throughput")
-
-    compute_cycles = _ceil_div(cons, effective_throughput)
-    avg_active_rows = np.maximum(
-        1.0,
-        np.array(
-            [s.average_active_filter_rows for s in summaries], dtype=np.float64
-        ),
-    )
-    accumulation_products = (
-        np.asarray(out_elems, dtype=np.float64)
-        * avg_active_rows
-        * np.asarray(depth_taps, dtype=np.float64)
-    )
-    accumulation_hops = [_iround(value) for value in accumulation_products.tolist()]
-    if not _float64_safe(accumulation_hops):
-        return [_estimate_transposed_conv(b, config, spec) for b in bindings]
-    accumulation_cycles = _ceil_div(accumulation_hops, effective_throughput)
-    dispatch_cycles = _ceil_div(
-        dispatch_work, np.float64(max(1, config.num_pvs))
-    )
-    dram_cycles = _ceil_div(
-        dram_bytes, np.float64(config.dram_bandwidth_bytes_per_cycle)
-    )
-    cycles = np.maximum(
-        compute_cycles + accumulation_cycles + dispatch_cycles, dram_cycles
-    )
-
-    estimates = []
-    for row, binding in enumerate(bindings):
-        counters = EventCounters()
-        counters.mac_ops = cons[row]
-        counters.gated_ops = 0
-        counters.alu_ops = accumulation_hops[row]
-        counters.index_generations = 3 * cons[row]
-        counters.register_file_reads = 2 * cons[row]
-        counters.register_file_writes = cons[row]
-        counters.global_buffer_reads = gbuf_input_reads[row] + weight_reads[row]
-        counters.global_buffer_writes = out_elems[row]
-        counters.noc_transfers = (
-            gbuf_input_reads[row] + weight_reads[row] + accumulation_hops[row]
-        )
-        counters.dram_reads = dram_read[row]
-        counters.dram_writes = out_elems[row]
-        counters.uop_fetches = uop_fetches[row]
-        layer_cycles = int(cycles[row])
-        estimates.append(
-            GanaxLayerEstimate(
-                layer_name=binding.name,
-                cycles=layer_cycles,
-                compute_cycles=int(compute_cycles[row]),
-                accumulation_cycles=int(accumulation_cycles[row]),
-                dispatch_cycles=int(dispatch_cycles[row]),
-                dram_cycles=int(dram_cycles[row]),
-                active_pe_cycles=cons[row],
-                busy_pe_cycles=cons[row] + accumulation_hops[row],
-                total_pe_cycles=layer_cycles * peak,
-                counters=counters,
-                mode="mimd-simd",
-            )
-        )
-    return estimates
-
-
-def _ceil_div(numerators: Sequence[int], divisor: np.ndarray) -> np.ndarray:
-    """``ceil(n / d)`` over columns, matching ``math.ceil(int / float)``."""
-    return np.ceil(np.asarray(numerators, dtype=np.float64) / divisor).astype(np.int64)
 
 
 def _depth_tap_factor(layer: TransposedConvLayer, binding: LayerBinding) -> float:

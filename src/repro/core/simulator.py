@@ -12,13 +12,11 @@ variant packages exactly that).
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
-
 from ..accelerators.base import GanSimulatorBase
 from ..accelerators.registry import register_accelerator
 from ..analysis.results import LayerResult
 from ..nn.network import LayerBinding
-from .performance import GanaxLayerEstimate, estimate_layer, estimate_network
+from .performance import GanaxLayerEstimate, estimate_layer
 
 #: Canonical accelerator identifier used in results.
 ACCELERATOR_NAME = "ganax"
@@ -35,7 +33,7 @@ class GanaxSimulator(GanSimulatorBase):
     )
 
     def estimate_layer(self, binding: LayerBinding) -> GanaxLayerEstimate:
-        """Expose the raw analytical estimate (used by ablation benchmarks)."""
+        """The raw analytical estimate of one layer under this model's options."""
         return estimate_layer(
             binding,
             self._config,
@@ -54,15 +52,3 @@ class GanaxSimulator(GanSimulatorBase):
             total_pe_cycles=estimate.total_pe_cycles,
             counters=estimate.counters,
         )
-
-    def simulate_layers(
-        self, bindings: Sequence[LayerBinding]
-    ) -> Tuple[LayerResult, ...]:
-        """Simulate a batch of layers through the vectorized estimator."""
-        estimates = estimate_network(
-            bindings,
-            self._config,
-            zero_skipping=self._options.ganax_zero_skipping,
-            schedule=self._options.schedule,
-        )
-        return self._layer_results_from_estimates(bindings, estimates)

@@ -188,8 +188,8 @@ def _memoized_layer_fn(
     input shape × accelerator identity × config × canonical options) — the
     layer *name* is excluded, so distinct workloads sharing a layer shape
     share the entry; hits are re-labelled with the requesting binding's name.
-    Misses are computed in one :meth:`simulate_layers` batch, so memoization
-    composes with the vectorized estimators instead of defeating them.
+    Misses are computed in one :meth:`simulate_layers` batch, the same entry
+    point an unmemoized network simulation uses.
     """
     # Late imports: the accelerators package (and the cache module) are still
     # initializing when this module is first imported through them.

@@ -4,16 +4,19 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from repro.accelerators.registry import get_accelerator
 from repro.analysis.serialization import (
     config_fingerprint,
     fingerprint_data,
     options_fingerprint,
     workload_fingerprint,
 )
+from repro.baseline.performance import estimate_layer as eyeriss_estimate
 from repro.config import ArchitectureConfig, SimulationOptions
 from repro.core.index_generator import GeneratorConfig, StridedIndexGenerator
+from repro.core.performance import estimate_layer as ganax_estimate
 from repro.hw.counters import EventCounters
 from repro.hw.energy import EnergyModel
 from repro.hw.fifo import Fifo
@@ -24,7 +27,7 @@ from repro.isa.encoding import (
     encode_global_uop,
     encode_local_uop,
 )
-from repro.errors import IsaError
+from repro.errors import IsaError, WorkloadError
 from repro.isa.uops import (
     AccessCfg,
     AccessStart,
@@ -48,6 +51,7 @@ from repro.nn.zero_analysis import (
     analyze_transposed_conv,
     count_consequential_macs_bruteforce,
 )
+from repro.workloads.synthetic import build_synthetic
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -613,3 +617,57 @@ class TestWorkloadRegistryProperties:
         finally:
             for name in names:
                 unregister_workload(name)
+
+
+# ----------------------------------------------------------------------
+# Analytic estimator invariants over synthetic GAN families
+# ----------------------------------------------------------------------
+class TestEstimatorProperties:
+    @given(
+        depth=st.integers(min_value=1, max_value=6),
+        base_channels=st.sampled_from([8, 32, 128]),
+        kernel=st.integers(min_value=2, max_value=6),
+        stride=st.sampled_from([1, 2, 4]),
+        upsample_percent=st.sampled_from([0, 50, 100]),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_estimates_are_consistent_on_synthetic_families(
+        self, depth, base_channels, kernel, stride, upsample_percent
+    ):
+        try:
+            model = build_synthetic(
+                depth=depth,
+                base_channels=base_channels,
+                kernel=kernel,
+                stride=stride,
+                upsample_percent=upsample_percent,
+            )
+        except WorkloadError:
+            assume(False)  # no exact-upsampling geometry for these knobs
+        config = ArchitectureConfig.paper_default()
+        networks = (model.generator, model.discriminator)
+
+        for network in networks:
+            for binding in network.bindings:
+                eyeriss = eyeriss_estimate(binding, config)
+                skipping = ganax_estimate(binding, config, zero_skipping=True)
+                dense = ganax_estimate(binding, config, zero_skipping=False)
+                counters = eyeriss.counters
+                assert counters.mac_ops + counters.gated_ops == binding.total_macs
+                for estimate in (eyeriss, skipping, dense):
+                    assert estimate.cycles >= estimate.dram_cycles
+                    assert estimate.busy_pe_cycles <= estimate.total_pe_cycles
+                if binding.is_transposed:
+                    assert (
+                        skipping.counters.mac_ops
+                        == skipping.active_pe_cycles
+                        == binding.consequential_macs
+                    )
+
+        for name in ("eyeriss", "ganax", "ganax-noskip", "ideal"):
+            simulator = get_accelerator(name).create(config=config)
+            for network in networks:
+                results = simulator.simulate_layers(network.bindings)
+                assert [r.layer_name for r in results] == [
+                    b.name for b in network.bindings
+                ]
