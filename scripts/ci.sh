@@ -22,24 +22,18 @@
 #      valid JSON record per job to stdout and per-job progress lines to
 #      stderr (the streaming benchmark in step 2 separately enforces that
 #      streaming scheduling overhead stays within 10% of batch run_jobs);
-#   7. a service smoke: `serve` hosts a shared runner, two concurrent
-#      `remote-compare` clients submit the same grid, cross-client dedup
-#      must leave exactly one simulation per distinct job, and SIGINT must
-#      shut the server down cleanly with a complete event journal (the
-#      service benchmark in step 2 separately enforces that the served
-#      sweep stays within 1.5x of direct submit());
-#   8. a telemetry smoke: `compare --trace --metrics` must write valid
+#   7. a telemetry smoke: `compare --trace --metrics` must write valid
 #      Chrome trace-event JSON (one batch span, one job span per job) and a
 #      metrics snapshot whose counters match the submitted grid (the
 #      telemetry benchmark in step 2 separately enforces the overhead
 #      budgets: disabled hooks <= 2%, full telemetry <= 10%);
-#   9. a staticcheck smoke: `lint` over the package source must be clean,
+#   8. a staticcheck smoke: `lint` over the package source must be clean,
 #      `check` over the six paper workloads x {eyeriss, ganax} x both
 #      skip_zeros modes must verify every compiled program with zero
 #      findings, and a seeded single-µop corruption of a clean program
 #      must be caught by the verifier (the mutation tests in
 #      tests/test_staticcheck.py separately prove every catalog id fires);
-#  10. a schedule smoke: `list-schedules --json` must cover the builtin
+#   9. a schedule smoke: `list-schedules --json` must cover the builtin
 #      specs and families, `check --schedule <name>` over every registered
 #      schedule must verify the full grid with zero findings, the tuned
 #      `hoisted` schedule must emit measurably fewer µops than `default`
@@ -47,7 +41,7 @@
 #      (geometry x schedule) points with schedule-aware cache keys (the
 #      schedule benchmarks in benchmarks/bench_schedule.py separately
 #      enforce the same contracts under timing);
-#  11. the repo benchmark's self-tests (perfbench/selftest.py): every
+#  10. the repo benchmark's self-tests (perfbench/selftest.py): every
 #      workload runs in short mode untraced and traced with every metric of
 #      BENCHMARK.json reported and no failed op, a corrupted expected value
 #      must fail every op, and the benchmark's goldens must match the
@@ -65,11 +59,11 @@ export PYTHONPATH
 echo "== tier-1 tests =="
 python -m pytest -x -q -p no:cacheprovider "$@"
 
-echo "== runner + layer-memo + DSE + workload + streaming + service + telemetry + schedule benchmarks (parity + cache + overhead contracts) =="
+echo "== runner + layer-memo + DSE + workload + streaming + telemetry + schedule benchmarks (parity + cache + overhead contracts) =="
 python -m pytest benchmarks/bench_runner.py benchmarks/bench_layercache.py \
     benchmarks/bench_dse.py benchmarks/bench_workloads.py \
-    benchmarks/bench_streaming.py benchmarks/bench_service.py \
-    benchmarks/bench_telemetry.py benchmarks/bench_schedule.py -q \
+    benchmarks/bench_streaming.py benchmarks/bench_telemetry.py \
+    benchmarks/bench_schedule.py -q \
     -p no:cacheprovider --benchmark-disable-gc
 
 echo "== accelerator registry smoke (Session over every registered model) =="
@@ -177,71 +171,6 @@ assert len(progress) == 4, f"expected 4 progress lines, got {len(progress)}"
 assert any(line.startswith("[4/4]") for line in progress), progress
 print("streaming smoke OK:", len(records), "JSONL records,",
       len(progress), "progress lines")
-PY
-
-echo "== service smoke (serve + two concurrent remote-compare clients) =="
-python -m repro.cli serve --port 0 --port-file "$SMOKE_DIR/service.port" \
-    --journal "$SMOKE_DIR/service.journal.jsonl" --quiet \
-    2> "$SMOKE_DIR/service.log" &
-SERVICE_PID=$!
-
-for _ in $(seq 1 100); do
-    [ -s "$SMOKE_DIR/service.port" ] && break
-    sleep 0.1
-done
-if ! [ -s "$SMOKE_DIR/service.port" ]; then
-    echo "service smoke FAILED: server never published its port" >&2
-    cat "$SMOKE_DIR/service.log" >&2
-    exit 1
-fi
-SERVICE_PORT="$(cat "$SMOKE_DIR/service.port")"
-
-python -m repro.cli remote-compare --port "$SERVICE_PORT" \
-    --workloads dcgan@64x64,MAGAN --accelerators eyeriss,ganax \
-    --client-id ci-a --jsonl "$SMOKE_DIR/client-a.jsonl" --quiet &
-CLIENT_A=$!
-python -m repro.cli remote-compare --port "$SERVICE_PORT" \
-    --workloads dcgan@64x64,MAGAN --accelerators eyeriss,ganax \
-    --client-id ci-b --jsonl "$SMOKE_DIR/client-b.jsonl" --quiet &
-CLIENT_B=$!
-wait "$CLIENT_A"
-wait "$CLIENT_B"
-
-kill -INT "$SERVICE_PID"
-wait "$SERVICE_PID"
-
-python - "$SMOKE_DIR/client-a.jsonl" "$SMOKE_DIR/client-b.jsonl" \
-    "$SMOKE_DIR/service.journal.jsonl" <<'PY'
-import json
-import sys
-
-streams = {}
-for path in sys.argv[1:3]:
-    with open(path, encoding="utf-8") as handle:
-        streams[path] = [json.loads(line) for line in handle if line.strip()]
-
-for path, records in streams.items():
-    assert len(records) == 4, f"{path}: expected 4 records, got {len(records)}"
-    for record in records:
-        assert record["event"] in ("completed", "cache-hit"), record
-        assert record["generator_cycles"] > 0, record
-
-# Cross-client dedup: the grid has 4 distinct jobs, so across both clients
-# exactly 4 simulations ran and the other 4 answers came from the cache.
-events = [r["event"] for records in streams.values() for r in records]
-assert events.count("completed") == 4, events
-assert events.count("cache-hit") == 4, events
-
-with open(sys.argv[3], encoding="utf-8") as handle:
-    journal = [json.loads(line) for line in handle if line.strip()]
-assert len(journal) == 8, f"expected 8 journal records, got {len(journal)}"
-assert all("schema_version" in record for record in journal)
-assert {(r["model"], r["accelerator"]) for r in journal} == {
-    ("DCGAN", "eyeriss"), ("DCGAN", "ganax"),
-    ("MAGAN", "eyeriss"), ("MAGAN", "ganax"),
-}
-print("service smoke OK: 2 clients x 4 jobs, 4 simulated + 4 dedup,",
-      len(journal), "journal records, clean shutdown")
 PY
 
 echo "== telemetry smoke (compare --trace --metrics) =="

@@ -28,22 +28,16 @@ This package implements, from scratch:
 * a **streaming execution API** (:mod:`repro.runner`): ``submit()`` returns a
   :class:`~repro.runner.BatchHandle` whose ``as_completed()`` yields results
   as they land, with a typed :class:`~repro.runner.RunnerEvent` stream for
-  live progress, three pluggable backends (serial, process-pool, asyncio),
-  and streaming consumers all the way up — ``Session.stream_compare``,
+  live progress, two pluggable backends (serial, process-pool), and
+  streaming consumers all the way up — ``Session.stream_compare``,
   ``ParameterSweep.iter_points``, the CLI's ``--progress`` / ``--jsonl``,
-* a **simulation service** (:mod:`repro.service`): a multi-client streaming
-  TCP server over one shared runner — versioned JSONL protocol, per-client
-  admission control, cross-client dedup, durable event journal with crash
-  resume — via ``repro-experiments serve`` / ``remote-compare`` or
-  :class:`repro.service.SimulationServer` / :class:`repro.service.Client`
-  in-process (see ``repro/service/README.md``),
 * a **unified telemetry layer** (:mod:`repro.telemetry`): hierarchical
-  tracing spans (``batch -> job -> simulate_layers -> layer-memo``;
-  ``request -> admission -> dispatch`` in the service) exportable as Chrome
-  trace-event JSON or JSONL, an always-on process metrics registry
-  (counters/gauges/histograms with an atomic ``snapshot()``), and profiling
-  hooks — surfaced as ``--trace`` / ``--metrics`` / ``--cache-stats`` and
-  the ``stats`` verb on the CLI (see ``repro/telemetry/README.md``)::
+  tracing spans (``batch -> job -> simulate_layers -> layer-memo``)
+  exportable as Chrome trace-event JSON or JSONL, an always-on process
+  metrics registry (counters/gauges/histograms with an atomic
+  ``snapshot()``), and profiling hooks — surfaced as ``--trace`` /
+  ``--metrics`` / ``--cache-stats`` on the CLI (see
+  ``repro/telemetry/README.md``)::
 
       from repro.telemetry import configure_tracing, get_metrics
 
@@ -141,7 +135,6 @@ from .errors import ReproError, UnknownAcceleratorError
 from .session import Session
 from .hw import AreaModel, EnergyBreakdown, EnergyModel, EnergyTable, EventCounters
 from .runner import (
-    AsyncioBackend,
     BatchHandle,
     JobCompletion,
     ProcessPoolBackend,
@@ -212,7 +205,6 @@ __all__ = [
     "EnergyModel",
     "EnergyTable",
     "EventCounters",
-    "AsyncioBackend",
     "BatchHandle",
     "JobCompletion",
     "ProcessPoolBackend",

@@ -26,21 +26,15 @@ Installed as ``repro-experiments`` (see ``pyproject.toml``).  Examples::
     repro-experiments all --progress               # live per-job progress
     repro-experiments compare --progress --jsonl - # stream results as JSONL
     repro-experiments sweep --parameter num_pvs --values 4,8 --jsonl run.jsonl
-    repro-experiments compare --backend asyncio    # pick a runner backend
-    repro-experiments serve --port 8642 --journal run.journal
-    repro-experiments serve --journal run.journal --resume  # crash recovery
-    repro-experiments remote-compare --port 8642 --workloads dcgan,artgan
     repro-experiments compare --trace trace.json   # Chrome trace (Perfetto)
     repro-experiments sweep --parameter num_pvs --values 4,8 --metrics m.json
-    repro-experiments stats --port 8642            # telemetry of a service
 
 Every simulation runs through one shared
 :class:`~repro.runner.SimulationRunner`, so the whole invocation shares a
 content-addressed result cache; ``--parallel`` swaps the serial backend for a
-process pool (``--backend`` picks any registered backend: ``serial``,
-``process-pool``, ``asyncio``) and ``--cache-dir`` persists results across
-invocations.  The ``compare`` and ``sweep`` modes route through
-:class:`repro.Session`, so any accelerator registered in
+process pool and ``--cache-dir`` persists results across invocations.  The
+``compare`` and ``sweep`` modes route through :class:`repro.Session`, so
+any accelerator registered in
 :mod:`repro.accelerators` is addressable via ``--accelerators`` and any
 workload — including family spec strings like ``dcgan@32x32`` or
 ``synthetic@d8c256`` (see ``list-workloads``) — via ``--workloads``; the
@@ -56,21 +50,12 @@ two; PATH is rewritten each run).  Both work with every backend, because
 they subscribe to the runner's typed event stream rather than wrapping any
 particular mode.
 
-The ``serve`` mode hosts one shared runner as a long-running TCP service
-(see :mod:`repro.service`): multiple clients stream batches through the
-same content-addressed cache with per-client admission control, and
-``--journal``/``--resume`` make sweeps crash-recoverable.  The
-``remote-compare`` mode is the matching client: it submits the same
-(workload x accelerator) grid as ``compare`` to a running service and
-streams the results back.
-
 Observability rides on :mod:`repro.telemetry`: ``--trace PATH`` records
 hierarchical spans (batch -> job -> simulate_layers -> layer-memo) and
 writes Chrome trace-event JSON — or JSONL when PATH ends in ``.jsonl`` —
 after the run; ``--metrics PATH|-`` dumps the process metrics-registry
-snapshot as JSON; ``--cache-stats`` reads its accounting from the same
-registry; and the ``stats`` mode asks a running service for its live
-telemetry over the wire.
+snapshot as JSON; and ``--cache-stats`` reads its accounting from the same
+registry.
 """
 
 from __future__ import annotations
@@ -99,14 +84,9 @@ from .runner import (
     RunnerEvent,
     SerialBackend,
     SimulationRunner,
-    backend_names,
     configure_layer_memo,
-    get_backend,
     get_layer_memo,
 )
-from .service import Client, SimulationServer
-from .service.protocol import grid_specs
-from .service.server import DEFAULT_PORT
 from .session import Session
 from .telemetry import configure_metrics, configure_tracing, get_metrics
 from .workloads.registry import (
@@ -133,10 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
             "'list-accelerators', 'list-workloads', 'list-schedules', "
             "'compare' (N-way "
             "accelerator comparison), 'sweep' (one-parameter configuration "
-            "sweep), 'dse' (design-space exploration), 'cache-prune', "
-            "'serve' (host the simulation service), 'remote-compare' "
-            "(run a comparison grid against a running service), 'stats' "
-            "(query a running service for its telemetry snapshot), 'check' "
+            "sweep), 'dse' (design-space exploration), 'cache-prune', 'check' "
             "(statically verify compiled µop programs over a workload x "
             "accelerator grid), 'lint' (repo-invariant lints over the "
             "source tree), or 'disasm' (compile one layer and print its "
@@ -252,15 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="execute simulations on a process pool instead of serially",
     )
     parser.add_argument(
-        "--backend",
-        metavar="NAME",
-        default=None,
-        help=(
-            "execution backend by registered name "
-            f"({', '.join(backend_names())}); overrides --parallel"
-        ),
-    )
-    parser.add_argument(
         "--progress",
         action="store_true",
         help="print a live per-job progress line to stderr as results stream",
@@ -297,73 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-stats",
         action="store_true",
         help="print cache hit/miss accounting after the run",
-    )
-    parser.add_argument(
-        "--host",
-        metavar="ADDR",
-        default=None,
-        help=(
-            "service address for 'serve'/'remote-compare' "
-            "(default: 127.0.0.1)"
-        ),
-    )
-    parser.add_argument(
-        "--port",
-        type=int,
-        metavar="N",
-        default=None,
-        help=(
-            "service TCP port for 'serve'/'remote-compare' "
-            f"(default: {DEFAULT_PORT}; 0 binds an ephemeral port)"
-        ),
-    )
-    parser.add_argument(
-        "--port-file",
-        metavar="PATH",
-        default=None,
-        help="'serve' writes its bound port to PATH (for scripted clients)",
-    )
-    parser.add_argument(
-        "--quota",
-        type=int,
-        metavar="N",
-        default=None,
-        help="'serve' per-client in-flight job quota",
-    )
-    parser.add_argument(
-        "--queue-limit",
-        type=int,
-        metavar="N",
-        default=None,
-        help="'serve' server-wide in-flight job bound",
-    )
-    parser.add_argument(
-        "--max-active",
-        type=int,
-        metavar="N",
-        default=None,
-        help="'serve' batches concurrently dispatched to the shared runner",
-    )
-    parser.add_argument(
-        "--journal",
-        metavar="PATH",
-        default=None,
-        help="'serve' journals terminal job events to PATH (JSONL, fsync'd)",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        default=None,
-        help=(
-            "'serve' replays the --journal into the result cache at startup "
-            "so a restarted sweep re-runs only missing jobs"
-        ),
-    )
-    parser.add_argument(
-        "--client-id",
-        metavar="ID",
-        default=None,
-        help="client identity 'remote-compare' announces to the service",
     )
     parser.add_argument(
         "--trace",
@@ -494,9 +395,7 @@ def build_runner(args: argparse.Namespace) -> SimulationRunner:
     """Construct the runner the CLI's experiments submit through."""
     if args.workers is not None and args.workers <= 0:
         raise ValueError("--workers must be a positive integer")
-    if args.backend is not None:
-        backend = get_backend(args.backend, max_workers=args.workers)
-    elif args.parallel or args.workers is not None:
+    if args.parallel or args.workers is not None:
         backend = ProcessPoolBackend(max_workers=args.workers)
     else:
         backend = SerialBackend()
@@ -776,190 +675,6 @@ def _run_cache_prune(args: argparse.Namespace) -> int:
         )
     if args.json:
         _write_json({"cache_prune": stats.as_dict()}, args.json, args.quiet)
-    return 0
-
-
-def _run_serve(args: argparse.Namespace) -> int:
-    """The ``serve`` mode: host the simulation service until interrupted."""
-    import signal
-
-    # The service's natural host is the event-driven backend; --backend /
-    # --parallel / --workers still override it the usual way.
-    if args.backend is None and not args.parallel and args.workers is None:
-        args.backend = "asyncio"
-    try:
-        runner = build_runner(args)
-    except Exception as exc:  # bad --workers / --backend / --cache-dir
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.progress:
-        runner.subscribe(_ProgressPrinter())
-    try:
-        server = SimulationServer(
-            host=args.host or "127.0.0.1",
-            port=args.port if args.port is not None else DEFAULT_PORT,
-            runner=runner,
-            quota=args.quota if args.quota is not None else 64,
-            queue_limit=args.queue_limit if args.queue_limit is not None else 1024,
-            max_active_requests=args.max_active if args.max_active is not None else 4,
-            journal_path=args.journal,
-            resume=bool(args.resume),
-        )
-        server.start_in_thread()
-    except (ReproError, OSError) as exc:  # bad knobs, port in use, bad journal
-        print(f"error: {exc}", file=sys.stderr)
-        runner.close()
-        return 2
-    # Operational chatter goes to stderr so scripts can own stdout.
-    if server.restored_entries:
-        print(
-            f"resumed {server.restored_entries} journaled results into the cache",
-            file=sys.stderr,
-        )
-    print(
-        f"serving on {server.host}:{server.port} "
-        f"(quota={server.admission.quota}, "
-        f"queue-limit={server.admission.queue_limit}); Ctrl-C stops",
-        file=sys.stderr,
-    )
-    if args.port_file:
-        with open(args.port_file, "w", encoding="utf-8") as handle:
-            handle.write(f"{server.port}\n")
-    stop = threading.Event()
-
-    def _request_stop(_signum: int, _frame: object) -> None:
-        stop.set()
-
-    previous = {}
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        try:
-            previous[signum] = signal.signal(signum, _request_stop)
-        except ValueError:  # not the main thread (e.g. under a test harness)
-            pass
-    try:
-        try:
-            stop.wait()
-        except KeyboardInterrupt:
-            pass
-    finally:
-        for signum, handler in previous.items():
-            signal.signal(signum, handler)
-        print("draining in-flight jobs...", file=sys.stderr)
-        server.shutdown()
-        runner.close()
-    print("server stopped", file=sys.stderr)
-    return 0
-
-
-def _run_remote_compare(args: argparse.Namespace) -> int:
-    """The ``remote-compare`` mode: the comparison grid, via a running service."""
-    try:
-        accelerators = parse_accelerator_list(args.accelerators) or accelerator_names()
-        workloads = parse_workload_list(args.workloads) or workload_names()
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    specs = grid_specs(workloads, accelerators)
-    jsonl_handle: Optional[IO[str]] = None
-    if args.jsonl:
-        try:
-            jsonl_handle = (
-                sys.stdout
-                if args.jsonl == "-"
-                else open(args.jsonl, "w", encoding="utf-8")
-            )
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    records = []
-    try:
-        with Client(
-            host=args.host or "127.0.0.1",
-            port=args.port if args.port is not None else DEFAULT_PORT,
-            client_id=args.client_id,
-        ) as client:
-            for record in client.submit(specs):
-                records.append(record)
-                if jsonl_handle is not None:
-                    jsonl_handle.write(json.dumps(record, sort_keys=True) + "\n")
-                    jsonl_handle.flush()
-                if not args.quiet and not _owns_stdout(args):
-                    detail = record.get("provenance") or record.get("event")
-                    if record.get("event") == "failed":
-                        detail = f"failed: {record.get('error')}"
-                    print(
-                        f"[{len(records)}/{len(specs)}] "
-                        f"{record.get('model')} on {record.get('accelerator')}: "
-                        f"{detail}"
-                    )
-            counts = client.last_counts or {}
-        if not args.quiet and not _owns_stdout(args):
-            summary = ", ".join(
-                f"{kind}={counts[kind]}" for kind in sorted(counts) if counts[kind]
-            )
-            print(f"done ({summary or 'no jobs'})")
-        if args.json:
-            _write_json(
-                {"remote_compare": {"counts": counts, "records": records}},
-                args.json,
-                args.quiet,
-            )
-        return 1 if counts.get("failed") else 0
-    except (ReproError, OSError) as exc:  # rejected, unreachable, protocol
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        if jsonl_handle is not None and jsonl_handle is not sys.stdout:
-            jsonl_handle.close()
-
-
-def _run_stats(args: argparse.Namespace) -> int:
-    """The ``stats`` mode: a running service's telemetry snapshot, over the wire."""
-    try:
-        with Client(
-            host=args.host or "127.0.0.1",
-            port=args.port if args.port is not None else DEFAULT_PORT,
-        ) as client:
-            payload = client.stats()
-    except (ReproError, OSError) as exc:  # unreachable, old server, shutdown
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if not args.quiet and not _owns_stdout(args):
-        print(
-            f"server {payload.get('server', '?')}: "
-            f"up {payload.get('uptime_seconds', 0.0):.1f}s, "
-            f"{payload.get('requests_done', 0)} requests done, "
-            f"{payload.get('jobs_done', 0)} jobs done"
-        )
-        print(
-            f"queue depth {payload.get('queue_depth', 0)}, "
-            f"{payload.get('active_requests', 0)} active requests, "
-            f"{payload.get('connections', 0)} connections"
-        )
-        cache = payload.get("cache") or {}
-        print(
-            f"cache: {cache.get('hits', 0)} hits, {cache.get('misses', 0)} misses, "
-            f"{cache.get('deduplicated', 0)} deduplicated "
-            f"(hit rate {100 * cache.get('hit_rate', 0.0):.1f}%)"
-        )
-        memo = payload.get("layer_memo")
-        if memo:
-            print(
-                f"layer memo: {memo.get('hits', 0)} hits, "
-                f"{memo.get('misses', 0)} misses "
-                f"(hit rate {100 * memo.get('hit_rate', 0.0):.1f}%)"
-            )
-        metrics = payload.get("metrics") or {}
-        latency = metrics.get("histograms", {}).get("service.request_latency_seconds")
-        if latency and latency.get("count"):
-            print(
-                f"request latency: p50 {latency['p50'] * 1000:.1f} ms, "
-                f"p90 {latency['p90'] * 1000:.1f} ms, "
-                f"p99 {latency['p99'] * 1000:.1f} ms "
-                f"({latency['count']} requests)"
-            )
-    if args.json:
-        _write_json({"stats": payload}, args.json, args.quiet)
     return 0
 
 
@@ -1306,8 +1021,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # Mode-specific flags are rejected elsewhere: a silently ignored selection
     # would report numbers for a run the user did not ask for.
     flag_gates = (
-        ("--accelerators", args.accelerators, {"compare", "sweep", "remote-compare", "check"}),
-        ("--workloads", args.workloads, {"compare", "sweep", "dse", "remote-compare", "check"}),
+        ("--accelerators", args.accelerators, {"compare", "sweep", "check"}),
+        ("--workloads", args.workloads, {"compare", "sweep", "dse", "check"}),
         ("--baseline", args.baseline, {"compare", "sweep", "dse"}),
         ("--parameter", args.parameter, {"sweep"}),
         ("--values", args.values, {"sweep"}),
@@ -1317,16 +1032,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ("--seed", args.seed, {"dse"}),
         ("--fields", args.fields, {"dse"}),
         ("--max-bytes", args.max_bytes, {"cache-prune"}),
-        ("--jsonl", args.jsonl, {"compare", "sweep", "dse", "remote-compare"}),
-        ("--host", args.host, {"serve", "remote-compare", "stats"}),
-        ("--port", args.port, {"serve", "remote-compare", "stats"}),
-        ("--port-file", args.port_file, {"serve"}),
-        ("--quota", args.quota, {"serve"}),
-        ("--queue-limit", args.queue_limit, {"serve"}),
-        ("--max-active", args.max_active, {"serve"}),
-        ("--journal", args.journal, {"serve"}),
-        ("--resume", args.resume, {"serve"}),
-        ("--client-id", args.client_id, {"remote-compare"}),
+        ("--jsonl", args.jsonl, {"compare", "sweep", "dse"}),
         ("--trace", args.trace, {"compare", "sweep", "dse"}),
         ("--metrics", args.metrics, {"compare", "sweep", "dse"}),
         ("--workload", args.workload, {"disasm"}),
@@ -1381,15 +1087,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.experiment == "cache-prune":
         return _run_cache_prune(args)
 
-    if args.experiment == "serve":
-        return _run_serve(args)
-
-    if args.experiment == "remote-compare":
-        return _run_remote_compare(args)
-
-    if args.experiment == "stats":
-        return _run_stats(args)
-
     if args.experiment == "check":
         return _run_check(args)
 
@@ -1407,7 +1104,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         runner = build_runner(args)
-    except Exception as exc:  # bad --workers / --backend / --cache-dir
+    except Exception as exc:  # bad --workers / --cache-dir
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

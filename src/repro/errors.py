@@ -191,33 +191,3 @@ class UnknownAcceleratorError(AnalysisError):
 class ExperimentError(ReproError):
     """An experiment (figure/table reproduction) could not be executed."""
 
-
-class ServiceError(ReproError):
-    """The simulation service (server, client or journal) reached a bad state."""
-
-
-class ProtocolError(ServiceError):
-    """A wire or journal record is malformed or from an incompatible schema.
-
-    Raised wherever a JSONL record crosses a trust boundary — the service
-    handshake, per-request validation, client-side record parsing and journal
-    replay — so schema drift fails loudly with an actionable message instead
-    of silently misparsing."""
-
-
-class AdmissionError(ServiceError):
-    """A request was refused by the service's admission-control layer.
-
-    Carries the machine-readable rejection ``code`` (``"quota"``,
-    ``"queue-full"``, ``"shutting-down"``, ...) alongside the human-readable
-    reason, mirroring the wire-level ``rejected`` record."""
-
-    def __init__(self, code: str, reason: str) -> None:
-        self.code = code
-        self.reason = reason
-        super().__init__(f"request rejected ({code}): {reason}")
-
-    def __reduce__(self):
-        # args holds the formatted message, not (code, reason); without this,
-        # unpickling re-wraps the message through __init__ and garbles it.
-        return (type(self), (self.code, self.reason))

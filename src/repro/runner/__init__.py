@@ -6,15 +6,11 @@ including the streaming API (``SimulationRunner.submit`` ->
 """
 
 from .backends import (
-    BACKENDS,
-    AsyncioBackend,
     DeferredJobFuture,
     ExecutionBackend,
     JobFuture,
     ProcessPoolBackend,
     SerialBackend,
-    backend_names,
-    get_backend,
 )
 from .cache import (
     LAYER_MEMO_DIR_ENV,
@@ -49,7 +45,6 @@ from .runner import (
 )
 
 __all__ = [
-    "BACKENDS",
     "COMPARISON_PAIR",
     "EVENT_KINDS",
     "LAYER_MEMO_DIR_ENV",
@@ -59,7 +54,6 @@ __all__ = [
     "PROVENANCE_EXECUTED",
     "RECORD_SCHEMA_VERSION",
     "TERMINAL_EVENT_KINDS",
-    "AsyncioBackend",
     "BatchHandle",
     "CachePruneStats",
     "CacheStats",
@@ -77,10 +71,8 @@ __all__ = [
     "SerialBackend",
     "SimulationJob",
     "SimulationRunner",
-    "backend_names",
     "configure_layer_memo",
     "execute_job",
-    "get_backend",
     "get_default_runner",
     "get_layer_memo",
     "resolve_accelerators",

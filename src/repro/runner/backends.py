@@ -22,32 +22,19 @@ cache-filtered, so a backend only ever sees work that must actually run.
   fan-out, one pool task per job.  Jobs and results are plain picklable
   dataclasses, and the analytical models are deterministic, so parallel
   results are byte-identical to serial ones.
-* :class:`AsyncioBackend` — an asyncio event loop on a dedicated thread,
-  offloading each job to a thread pool (``loop.run_in_executor``).  This is
-  the integration point for event-driven services: the loop can multiplex
-  thousands of in-flight jobs, and cancellation propagates through asyncio's
-  native task cancellation.
 
-Backends are addressable by name through :func:`get_backend`
-(``"serial"``, ``"process-pool"``, ``"asyncio"``) — the CLI's ``--backend``
-flag resolves through this registry.
+The CLI picks :class:`SerialBackend` by default and
+:class:`ProcessPoolBackend` under ``--parallel``.
 """
 
 from __future__ import annotations
 
-import asyncio
 import os
 import threading
-from concurrent.futures import (
-    CancelledError,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
-from concurrent.futures import wait as futures_wait
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from concurrent.futures import CancelledError, ProcessPoolExecutor
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..analysis.results import GanResult
-from ..errors import ConfigurationError
 from ..telemetry import get_metrics
 from .job import SimulationJob, execute_job
 
@@ -71,8 +58,8 @@ class JobFuture:
       *drives* the future (:meth:`drive`, or implicitly :meth:`result`); the
       job then runs synchronously in the consumer's thread.  This is how
       :class:`SerialBackend` streams without threads.
-    * **active** — the backend executes the job elsewhere (pool worker,
-      asyncio executor) and settles the future when it lands.
+    * **active** — the backend executes the job elsewhere (a pool worker)
+      and settles the future when it lands.
     """
 
     #: Whether a consumer must drive this future for the job to execute.
@@ -363,7 +350,7 @@ def _record_dispatch(backend_name: str, futures: Sequence[JobFuture]) -> None:
 class ExecutionBackend:
     """Interface of a runner execution backend (incremental protocol)."""
 
-    #: Short identifier used in reports, benchmarks and :func:`get_backend`.
+    #: Short identifier used in reports, benchmarks and metric labels.
     name: str = "abstract"
 
     def submit_jobs(self, jobs: Sequence[SimulationJob]) -> List[JobFuture]:
@@ -428,10 +415,6 @@ class ProcessPoolBackend(ExecutionBackend):
     def __init__(self, max_workers: Optional[int] = None) -> None:
         self._max_workers = max_workers
         self._pool: Optional[ProcessPoolExecutor] = None
-
-    @property
-    def max_workers(self) -> Optional[int]:
-        return self._max_workers
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
@@ -501,152 +484,3 @@ class ProcessPoolBackend(ExecutionBackend):
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-
-
-class AsyncioBackend(ExecutionBackend):
-    """Execute jobs through an asyncio event loop with thread offload.
-
-    A dedicated thread runs the loop; each job becomes a coroutine awaiting
-    ``loop.run_in_executor(thread_pool, execute_job, job)`` that settles the
-    job's :class:`JobFuture` itself — the atomic pending->running transition
-    doubles as the cancellation gate, so ``cancel()`` only ever succeeds for
-    jobs that have not started (matching the serial and pool backends).
-    Results are identical to serial ones (the simulators are deterministic
-    pure Python), and the loop gives event-driven services a natural
-    integration point: it can hold many in-flight jobs with one pool of
-    worker threads.
-    """
-
-    name = "asyncio"
-
-    def __init__(self, max_workers: Optional[int] = None) -> None:
-        self._max_workers = max_workers
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._executor: Optional[ThreadPoolExecutor] = None
-        # In-flight coroutine futures: close() must let them settle before
-        # stopping the loop, or their JobFutures would never resolve.
-        self._inflight: set = set()
-        self._inflight_lock = threading.Lock()
-
-    @property
-    def max_workers(self) -> Optional[int]:
-        return self._max_workers
-
-    def _ensure_loop(self) -> asyncio.AbstractEventLoop:
-        if self._loop is None:
-            self._loop = asyncio.new_event_loop()
-            self._executor = ThreadPoolExecutor(
-                max_workers=self._max_workers,
-                thread_name_prefix="repro-asyncio-job",
-            )
-            self._thread = threading.Thread(
-                target=self._loop.run_forever,
-                name="repro-asyncio-loop",
-                daemon=True,
-            )
-            self._thread.start()
-        return self._loop
-
-    async def _run(self, job: SimulationJob, future: JobFuture) -> None:
-        # The atomic pending->running transition is the cancellation gate:
-        # JobFuture.cancel() only wins while the job is still pending, so a
-        # job that starts executing always delivers its result — the same
-        # contract the serial and pool backends honor.
-        if not future.set_running():
-            return  # cancelled before it started; the future is settled
-        loop = asyncio.get_running_loop()
-        try:
-            result = await loop.run_in_executor(self._executor, execute_job, job)
-        except asyncio.CancelledError:
-            # only close()'s drain cancels tasks, and it runs after every
-            # in-flight submission settled — but never strand a waiter
-            if not future.done():
-                future.set_exception(CancelledError())
-            raise
-        except BaseException as exc:
-            future.set_exception(exc)
-        else:
-            future.set_result(result)
-
-    @staticmethod
-    async def _drain() -> None:
-        """Let every remaining task (incl. cancellation unwinds) finish."""
-        tasks = [
-            task
-            for task in asyncio.all_tasks()
-            if task is not asyncio.current_task()
-        ]
-        for task in tasks:
-            task.cancel()
-        await asyncio.gather(*tasks, return_exceptions=True)
-
-    def submit_jobs(self, jobs: Sequence[SimulationJob]) -> List[JobFuture]:
-        if not jobs:
-            return []
-        loop = self._ensure_loop()
-        futures: List[JobFuture] = []
-        for job in jobs:
-            future = JobFuture()
-            inner = asyncio.run_coroutine_threadsafe(self._run(job, future), loop)
-            with self._inflight_lock:
-                self._inflight.add(inner)
-            inner.add_done_callback(self._discard_inflight)
-            futures.append(future)
-        _record_dispatch(self.name, futures)
-        return futures
-
-    def _discard_inflight(self, inner) -> None:
-        with self._inflight_lock:
-            self._inflight.discard(inner)
-
-    def close(self) -> None:
-        if self._loop is None:
-            return
-        # Let every in-flight job settle first (mirrors ProcessPoolBackend's
-        # shutdown(wait=True)): stopping the loop underneath an awaiting
-        # coroutine would leave its JobFuture unresolved forever.
-        with self._inflight_lock:
-            pending = list(self._inflight)
-        if pending:
-            futures_wait(pending)
-        # Cancelled wrapper futures settle before their asyncio Tasks finish
-        # unwinding; drain the loop so no Task is destroyed while pending.
-        asyncio.run_coroutine_threadsafe(self._drain(), self._loop).result()
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        assert self._thread is not None and self._executor is not None
-        self._thread.join()
-        self._executor.shutdown(wait=True)
-        self._loop.close()
-        self._loop = self._thread = self._executor = None
-
-
-#: Backend name -> factory, for the CLI's ``--backend`` flag and services
-#: that configure execution by name.  Every factory accepts ``max_workers``
-#: (ignored where meaningless) so the registry is uniform.
-BACKENDS: Dict[str, Callable[..., ExecutionBackend]] = {
-    SerialBackend.name: lambda max_workers=None: SerialBackend(),
-    ProcessPoolBackend.name: ProcessPoolBackend,
-    AsyncioBackend.name: AsyncioBackend,
-}
-
-
-def backend_names() -> Tuple[str, ...]:
-    """Registered backend names, sorted."""
-    return tuple(sorted(BACKENDS))
-
-
-def get_backend(name: str, max_workers: Optional[int] = None) -> ExecutionBackend:
-    """Build an execution backend by registered name.
-
-    Unknown names raise :class:`~repro.errors.ConfigurationError` listing
-    every registered backend.
-    """
-    key = str(name).strip().lower()
-    factory = BACKENDS.get(key)
-    if factory is None:
-        raise ConfigurationError(
-            f"unknown execution backend '{name}'; "
-            f"available: {', '.join(backend_names())}"
-        )
-    return factory(max_workers=max_workers)

@@ -150,14 +150,8 @@ class DiskResultCache(ResultCache):
     fingerprint-prefix shard (the same layout as the
     :class:`LayerMemoStore` disk tier) keeps any one directory to at most
     1/256th of the entries, so millions of cached results never sit in a
-    single directory.  Caches written by older versions used a **flat**
-    layout (``<root>/<key>.pkl``); those entries are still served through a
-    transparent read-through — a get that misses the sharded tree falls back
-    to the flat path and, on a hit, migrates the entry into its shard — and
-    :meth:`size_bytes`, :meth:`prune`, ``len()`` and :meth:`clear` account
-    for both trees, so a legacy cache keeps working (and gradually converts)
-    without a manual migration step.  A small in-memory overlay avoids
-    re-reading entries that were already fetched or stored in this process.
+    single directory.  A small in-memory overlay avoids re-reading entries
+    that were already fetched or stored in this process.
     """
 
     def __init__(self, root: PathLike) -> None:
@@ -176,17 +170,9 @@ class DiskResultCache(ResultCache):
     def _path_for(self, key: str) -> Path:
         return self._root / key[:2] / f"{key}.pkl"
 
-    def _legacy_path_for(self, key: str) -> Path:
-        """Where the pre-shard flat layout stored this key."""
-        return self._root / f"{key}.pkl"
-
     def _entry_paths(self):
-        """Every stored entry: the sharded tree plus legacy flat files.
-
-        Temp files from in-flight writers start with ``.`` and never match.
-        """
-        yield from self._root.glob("*/*.pkl")
-        yield from self._root.glob("[!.]*.pkl")
+        """Every stored entry (in-flight writers' ``.tmp`` files never match)."""
+        return self._root.glob("*/*.pkl")
 
     def get(self, key: str) -> Optional[GanResult]:
         if key in self._overlay:
@@ -196,11 +182,9 @@ class DiskResultCache(ResultCache):
             with path.open("rb") as handle:
                 result = pickle.load(handle)
         except FileNotFoundError:
-            # Absent from the sharded tree — or deleted by a concurrent
-            # prune()/clear() between any earlier existence check and the
-            # open.  Fall back to the legacy flat layout before declaring a
-            # miss; nothing to unlink either way.
-            return self._legacy_get(key)
+            # Absent — or deleted by a concurrent prune()/clear() between
+            # any earlier existence check and the open; nothing to unlink.
+            return None
         except Exception:
             # A truncated/corrupt entry (e.g. torn write from a crashed run)
             # is a miss, not a fatal error; drop it so it gets rewritten.
@@ -217,35 +201,6 @@ class DiskResultCache(ResultCache):
         except OSError:
             pass
         self._overlay[key] = result
-        return result
-
-    def _legacy_get(self, key: str) -> Optional[GanResult]:
-        """Read-through of the pre-shard flat layout, migrating on a hit.
-
-        Older caches stored every entry directly under the root.  Serving
-        them keeps a warm legacy cache warm across the layout change; the
-        re-``put`` rewrites the entry into its shard and the flat original is
-        removed, so the tree converges to the sharded layout one hit at a
-        time.  Vanished or corrupt legacy entries are clean misses, exactly
-        like sharded ones.
-        """
-        path = self._legacy_path_for(key)
-        try:
-            with path.open("rb") as handle:
-                result = pickle.load(handle)
-        except FileNotFoundError:
-            return None
-        except Exception:
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-        self.put(key, result)  # migrate into <key[:2]>/<key>.pkl
-        try:
-            path.unlink()
-        except OSError:
-            pass  # another process may have migrated it concurrently
         return result
 
     def put(self, key: str, result: GanResult) -> None:
@@ -277,7 +232,7 @@ class DiskResultCache(ResultCache):
             path.unlink()
 
     def size_bytes(self) -> int:
-        """Total size of every stored entry, sharded and legacy flat alike."""
+        """Total size of every stored entry."""
         total = 0
         for path in self._entry_paths():
             try:

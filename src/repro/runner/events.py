@@ -18,9 +18,9 @@ The event grammar, per submitted job (in emission order):
     terminal — the result came straight from the content-addressed cache.
 ``started``
     the job began executing.  Emitted when the backend can observe the
-    start (serial: the consumer's thread drives the job; asyncio: the
-    worker coroutine begins) — the process pool cannot observe worker-side
-    start, so pooled jobs may terminate without a ``started`` event.  Never
+    start (serial: the consumer's thread drives the job) — the process pool
+    cannot observe worker-side start, so pooled jobs may terminate without a
+    ``started`` event.  Never
     emitted for cache hits or batch duplicates.
 ``completed``
     terminal — the job produced a result (``provenance`` says how:
@@ -48,10 +48,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 #: Version of the machine-readable record grammar produced by
 #: :meth:`RunnerEvent.describe` — the format behind the CLI's ``--jsonl``
-#: stream, the service wire protocol (:mod:`repro.service.protocol`) and the
-#: service journal.  Bump it whenever a field changes meaning or disappears;
-#: consumers (journal replay, service clients) reject mismatched versions
-#: with an explicit message instead of silently misparsing old records.
+#: stream.  Bump it whenever a field changes meaning or disappears, so
+#: consumers can reject mismatched versions with an explicit message instead
+#: of silently misparsing old records.
 #:
 #: Version history:
 #:
@@ -60,8 +59,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 #: * **2** — adds a monotonic ``timestamp`` (seconds,
 #:   :func:`time.monotonic` clock) and a per-submission ``job_uid``
 #:   correlation id to every record.  Purely additive: every version-1 field
-#:   is unchanged, so version-2 readers accept version-1 records (see
-#:   ``MIN_COMPATIBLE_SCHEMA_VERSION`` in :mod:`repro.service.protocol`).
+#:   is unchanged, so version-2 readers can accept version-1 records.
 #:   Later version-2 streams also carry the job's ``schedule`` spec name —
 #:   additive again, so the version number is unchanged.
 RECORD_SCHEMA_VERSION: int = 2
@@ -138,8 +136,8 @@ class RunnerEvent:
         """JSON-friendly record of the event (used by the CLI's ``--jsonl``).
 
         Every record carries :data:`RECORD_SCHEMA_VERSION` so downstream
-        consumers — journal replay, service clients, old tooling reading new
-        streams — can reject records they do not understand.
+        consumers — old tooling reading new streams, say — can reject
+        records they do not understand.
         """
         record: Dict[str, Any] = {
             "schema_version": RECORD_SCHEMA_VERSION,

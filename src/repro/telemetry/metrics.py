@@ -2,7 +2,7 @@
 
 A :class:`MetricsRegistry` owns every instrument in a process.  Instruments
 are addressed by name plus optional labels (``registry.counter(
-"service.admission.accepted", client="worker-3")``); the same (name, labels)
+"backend.jobs.dispatched", backend="serial")``); the same (name, labels)
 pair always returns the same instrument, so call sites never need to hold
 references across layers.  One registry-wide lock serializes every update
 and makes :meth:`MetricsRegistry.snapshot` an **atomic** cut across all
@@ -21,7 +21,8 @@ layer memo (:func:`repro.runner.cache.configure_layer_memo`):
   ``None`` and every instrumented call site degrades to a no-op check.
 
 Naming convention: dotted lowercase paths, ``<layer>.<subsystem>.<what>``
-(``runner.cache.hits``, ``service.queue_depth``, ``backend.jobs.inflight``).
+(``runner.cache.hits``, ``runner.layer_memo.resident``,
+``backend.jobs.inflight``).
 Durations are histograms in seconds with a ``_seconds`` suffix.
 """
 

@@ -4,9 +4,8 @@ Two small, composable tools — deliberately thin wrappers so any layer can
 adopt them without new dependencies:
 
 * :func:`timed` — a context manager observing the block's wall time into a
-  registry histogram (no-op when metrics are disabled).  This is how the
-  service feeds ``service.request_latency_seconds`` without hand-rolled
-  clock arithmetic at every call site.
+  registry histogram (no-op when metrics are disabled), so a call site
+  records a ``*_seconds`` histogram without hand-rolled clock arithmetic.
 * :func:`profile_to` — a context manager running the block under
   :mod:`cProfile` and dumping pstats to a path; load the dump with
   ``python -m pstats`` or ``snakeviz``.  Profiling is always explicit and

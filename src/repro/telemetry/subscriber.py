@@ -14,7 +14,7 @@ typed event stream into registry metrics:
   which thread delivers which event).
 
 Every :class:`~repro.runner.SimulationRunner` installs one automatically, so
-job metrics exist wherever a runner runs — CLI, service, library — without
+job metrics exist wherever a runner runs — CLI, library, benchmarks — without
 any consumer wiring.  The subscriber resolves the registry per event and is
 a no-op when metrics are disabled.
 

@@ -1,9 +1,8 @@
 """Hierarchical tracing spans over the execution layers.
 
 A :class:`Span` is one timed region — ``batch``, ``job``,
-``simulate_layers``, ``layer-memo`` on the runner side; ``request``,
-``admission``, ``dispatch`` on the service side — with a monotonic start/end
-timestamp, a parent id, and free-form attributes.  A :class:`Tracer` collects
+``simulate_layers``, ``layer-memo`` — with a monotonic start/end timestamp,
+a parent id, and free-form attributes.  A :class:`Tracer` collects
 them thread-safely and exports the finished tree either as JSONL (one span
 per line) or as Chrome trace-event JSON, which Perfetto / ``chrome://tracing``
 open directly.
@@ -24,8 +23,8 @@ Parentage works two ways:
   under its ``simulate_layers`` span).
 
 Execution-side spans need a parent that was opened on a *different* thread
-(the submitting thread opens the ``job`` span; a backend worker thread runs
-the simulation).  :meth:`Tracer.register_job` bridges the gap: the runner
+(the submitting thread opens the ``job`` span; whichever thread drives the
+job runs the simulation).  :meth:`Tracer.register_job` bridges the gap: the runner
 registers ``cache_key -> job-span id`` at dispatch, and
 :func:`~repro.runner.job.execute_job` looks the parent up with
 :meth:`Tracer.parent_for`.  Process-pool workers are separate processes with

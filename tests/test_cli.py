@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -37,9 +40,30 @@ class TestMain:
         assert "Table II" in out
         assert "DDR4" in out
 
-    def test_unknown_experiment_returns_error(self, capsys):
-        assert main(["figure42"]) == 2
+    @pytest.mark.parametrize(
+        "experiment", ["figure42", "serve", "remote-compare", "stats"]
+    )
+    def test_unknown_experiment_returns_error(self, experiment, capsys):
+        assert main([experiment]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_import_loads_no_asyncio_and_no_service(self):
+        """``import repro.cli`` stays free of the event loop and any server."""
+        probe = (
+            "import sys, repro.cli\n"
+            "parts = [m.split('.') for m in sys.modules]\n"
+            "print(','.join(sorted('.'.join(p) for p in parts"
+            " if p[0] == 'asyncio' or p[:2] == ['repro', 'service'])))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            check=True,
+            env=env,
+        ).stdout
+        assert out.strip() == ""
 
     def test_json_output(self, tmp_path, capsys):
         path = tmp_path / "results.json"
@@ -427,7 +451,7 @@ class TestDseWorkloads:
 
 
 class TestStreamingFlags:
-    """The streaming CLI surface: --progress, --jsonl and --backend."""
+    """The streaming CLI surface: --progress, --jsonl, --parallel/--workers."""
 
     COMPARE = [
         "compare",
@@ -490,14 +514,28 @@ class TestStreamingFlags:
         assert "[1/2]" in err and "[2/2]" in err
         assert "DCGAN on ganax" in err
 
-    def test_backend_flag_resolves_through_the_registry(self, capsys):
-        assert main([*self.COMPARE, "--backend", "asyncio", "--quiet"]) == 0
-        assert main([*self.COMPARE, "--backend", "serial", "--quiet"]) == 0
+    def test_parallel_compare_matches_serial(self, capsys):
+        assert main([*self.COMPARE, "--json", "-"]) == 0
+        serial = capsys.readouterr().out
+        assert (
+            main(
+                [
+                    *self.COMPARE,
+                    "--parallel",
+                    "--workers",
+                    "2",
+                    "--json",
+                    "-",
+                ]
+            )
+            == 0
+        )
+        assert capsys.readouterr().out == serial
+        assert json.loads(serial)["compare"]["models"]["DCGAN"]
 
-    def test_unknown_backend_is_a_clean_error(self, capsys):
-        assert main([*self.COMPARE, "--backend", "quantum"]) == 2
-        err = capsys.readouterr().err
-        assert "unknown execution backend" in err
+    def test_non_positive_workers_is_a_clean_error(self, capsys):
+        assert main([*self.COMPARE, "--workers", "0"]) == 2
+        assert "--workers" in capsys.readouterr().err
 
     def test_json_dash_and_jsonl_dash_cannot_share_stdout(self, capsys):
         assert main([*self.COMPARE, "--json", "-", "--jsonl", "-"]) == 2
@@ -524,92 +562,8 @@ class TestStreamingFlags:
         )
 
 
-class TestServiceVerbs:
-    """The service CLI surface: 'serve' / 'remote-compare' and their flags."""
-
-    def test_service_flags_rejected_outside_service_modes(self, capsys):
-        for flags in (
-            ["--host", "127.0.0.1"],
-            ["--port", "8642"],
-            ["--client-id", "w1"],
-        ):
-            assert main(["compare", *flags]) == 2
-            err = capsys.readouterr().err
-            assert flags[0] in err
-        for flags in (
-            ["--port-file", "p"],
-            ["--quota", "4"],
-            ["--queue-limit", "8"],
-            ["--max-active", "2"],
-            ["--journal", "j.jsonl"],
-            ["--resume"],
-        ):
-            assert main(["remote-compare", *flags]) == 2
-            err = capsys.readouterr().err
-            assert flags[0] in err and "'serve'" in err
-
-    def test_remote_compare_against_a_live_server(self, tmp_path, capsys):
-        from repro.service import SimulationServer
-
-        with SimulationServer(port=0) as server:
-            assert (
-                main(
-                    [
-                        "remote-compare",
-                        "--port",
-                        str(server.port),
-                        "--workloads",
-                        "dcgan@64x64",
-                        "--accelerators",
-                        "eyeriss,ganax",
-                        "--jsonl",
-                        "-",
-                        "--quiet",
-                    ]
-                )
-                == 0
-            )
-            records = [
-                json.loads(line)
-                for line in capsys.readouterr().out.splitlines()
-                if line.strip()
-            ]
-            assert len(records) == 2
-            assert {r["accelerator"] for r in records} == {"eyeriss", "ganax"}
-            assert all(r["type"] == "event" for r in records)
-            # a second invocation resolves entirely from the server's cache
-            assert (
-                main(
-                    [
-                        "remote-compare",
-                        "--port",
-                        str(server.port),
-                        "--workloads",
-                        "dcgan@64x64",
-                        "--accelerators",
-                        "eyeriss,ganax",
-                        "--quiet",
-                    ]
-                )
-                == 0
-            )
-            stats = server.runner.stats
-        assert stats.misses == 2
-        assert stats.hits == 2
-
-    def test_remote_compare_unreachable_server_is_a_clean_error(self, capsys):
-        import socket
-
-        probe = socket.socket()
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-        probe.close()
-        assert main(["remote-compare", "--port", str(port)]) == 2
-        assert "could not connect" in capsys.readouterr().err
-
-
 class TestTelemetryFlags:
-    """The observability CLI surface: --trace, --metrics and the stats verb."""
+    """The observability CLI surface: --trace and --metrics."""
 
     COMPARE = [
         "compare",
@@ -661,23 +615,225 @@ class TestTelemetryFlags:
         assert main([*self.COMPARE, "--json", "-", "--metrics", "-"]) == 2
         assert "claim stdout" in capsys.readouterr().err
 
-    def test_stats_verb_queries_a_running_service(self, capsys):
-        from repro.service import Client, SimulationServer, grid_specs
 
-        with SimulationServer(port=0) as server:
-            with Client(port=server.port) as client:
-                list(client.submit(grid_specs(["DCGAN"], ["eyeriss", "ganax"])))
-            assert main(["stats", "--port", str(server.port)]) == 0
+class TestFlagGates:
+    """Every mode-specific flag is rejected outside the modes it applies to."""
+
+    # One row per entry of main()'s flag_gates table; 'list' is in none of
+    # their modes, so each must fail before the listing runs.
+    GATED = [
+        ("--accelerators", ["eyeriss"]),
+        ("--workloads", ["dcgan"]),
+        ("--baseline", ["eyeriss"]),
+        ("--parameter", ["num_pvs"]),
+        ("--values", ["4,8"]),
+        ("--accelerator", ["ganax"]),
+        ("--strategy", ["random"]),
+        ("--budget", ["2"]),
+        ("--seed", ["1"]),
+        ("--fields", ["num_pvs"]),
+        ("--max-bytes", ["0"]),
+        ("--jsonl", ["run.jsonl"]),
+        ("--trace", ["trace.json"]),
+        ("--metrics", ["metrics.json"]),
+        ("--workload", ["dcgan"]),
+        ("--layer", ["tconv1"]),
+        ("--max-columns", ["4"]),
+        ("--max-waves", ["1"]),
+        ("--no-skip-zeros", []),
+        ("--schedule", ["default"]),
+        ("--paths", ["src"]),
+    ]
+
+    @pytest.mark.parametrize(
+        "flag, values", GATED, ids=[flag for flag, _ in GATED]
+    )
+    def test_flag_rejected_outside_its_modes(
+        self, flag, values, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(["list", flag, *values]) == 2
+        captured = capsys.readouterr()
+        assert f"error: {flag} only applies to the " in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []  # nothing written before the gate
+
+    # The flags of the deleted service verbs: none may come back silently.
+    REMOVED = [
+        ["--host", "127.0.0.1"],
+        ["--port", "0"],
+        ["--port-file", "port.txt"],
+        ["--quota", "1"],
+        ["--queue-limit", "1"],
+        ["--max-active", "1"],
+        ["--journal", "journal.jsonl"],
+        ["--resume"],
+        ["--client-id", "client"],
+    ]
+
+    @pytest.mark.parametrize("argv", REMOVED, ids=[argv[0] for argv in REMOVED])
+    def test_removed_flag_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["compare", *argv])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestExperimentsCli:
+    # 'dse' names the design-space search mode (TestDseCli), not a report.
+    @pytest.mark.parametrize(
+        "experiment_id", [eid for eid in experiment_ids() if eid != "dse"]
+    )
+    def test_experiment_writes_its_json_record(self, experiment_id, capsys):
+        assert main([experiment_id, "--json", "-"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert list(payload) == [experiment_id]
+        record = payload[experiment_id]
+        assert set(record) == {"title", "data", "paper_reference"}
+        assert record["title"]
+        assert record["data"]
+
+
+class TestListSchedulesCli:
+    def test_text_lists_every_schedule_and_family(self, capsys):
+        from repro.schedule import describe_schedules
+
+        assert main(["list-schedules"]) == 0
         out = capsys.readouterr().out
-        assert "2 jobs done" in out
-        assert "cache:" in out
+        catalog = describe_schedules()
+        for entry in catalog["schedules"]:
+            assert f"{entry['name']}  [{entry['fingerprint'][:12]}]" in out
+        for entry in catalog["families"]:
+            assert entry["grammar"] in out
 
-    def test_stats_verb_unreachable_server_is_a_clean_error(self, capsys):
-        import socket
+    def test_json_dash_is_the_catalog(self, capsys):
+        from repro.schedule import describe_schedules
 
-        probe = socket.socket()
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-        probe.close()
-        assert main(["stats", "--port", str(port)]) == 2
-        assert "error:" in capsys.readouterr().err
+        assert main(["list-schedules", "--json", "-"]) == 0
+        assert json.loads(capsys.readouterr().out) == describe_schedules()
+
+
+def _library_programs(layer: str, skip_zeros: bool, schedule):
+    """What ``disasm --workload dcgan --layer LAYER`` compiles, built directly."""
+    from repro.config import ArchitectureConfig
+    from repro.core.compiler import compile_layer_programs
+    from repro.staticcheck import iter_compilable_bindings
+    from repro.workloads import get_workload
+
+    bindings = {
+        b.name: b for _, b in iter_compilable_bindings(get_workload("dcgan"))
+    }
+    config = ArchitectureConfig.paper_default()
+    return compile_layer_programs(
+        bindings[layer],
+        num_pvs=config.num_pvs,
+        pes_per_pv=config.pes_per_pv,
+        skip_zeros=skip_zeros,
+        max_waves=1,
+        max_columns=4,
+        schedule=schedule,
+    )
+
+
+class TestDisasmCli:
+    DISASM = ["disasm", "--workload", "dcgan", "--layer", "tconv1"]
+
+    @pytest.mark.parametrize("schedule", ["default", "blocked", "hoisted", "raster"])
+    def test_json_matches_the_library_compile(self, schedule, capsys):
+        assert main([*self.DISASM, "--schedule", schedule, "--json", "-"]) == 0
+        payload = json.loads(capsys.readouterr().out)["disasm"]
+        assert payload["workload"] == "DCGAN"
+        assert payload["layer"] == "tconv1"
+        assert payload["skip_zeros"] is True
+        assert payload["schedule"] == schedule
+        expected = _library_programs("tconv1", True, schedule)
+        assert payload["programs"] == [p.uop_records() for p in expected]
+
+    def test_text_is_the_program_disassembly(self, capsys):
+        assert main(self.DISASM) == 0
+        expected = _library_programs("tconv1", True, None)
+        assert capsys.readouterr().out == "\n".join(
+            p.disassemble() for p in expected
+        )
+
+    def test_no_skip_zeros_compiles_the_dense_lowering(self, capsys):
+        assert main([*self.DISASM, "--no-skip-zeros", "--json", "-"]) == 0
+        payload = json.loads(capsys.readouterr().out)["disasm"]
+        assert payload["skip_zeros"] is False
+        dense = _library_programs("tconv1", False, None)
+        assert payload["programs"] == [p.uop_records() for p in dense]
+        skipping = _library_programs("tconv1", True, None)
+        assert payload["programs"] != [p.uop_records() for p in skipping]
+
+    @pytest.mark.parametrize(
+        "argv", [["disasm"], ["disasm", "--workload", "dcgan"]], ids=["none", "no-layer"]
+    )
+    def test_requires_workload_and_layer(self, argv, capsys):
+        assert main(argv) == 2
+        assert "disasm requires --workload and --layer" in capsys.readouterr().err
+
+    def test_unknown_layer_lists_the_compilable_ones(self, capsys):
+        assert main(["disasm", "--workload", "dcgan", "--layer", "nope"]) == 2
+        err = capsys.readouterr().err
+        assert "no compilable layer 'nope' in DCGAN" in err
+        assert "tconv1" in err
+
+    def test_unknown_workload_is_a_clean_error(self, capsys):
+        assert main(["disasm", "--workload", "nope", "--layer", "tconv1"]) == 2
+        assert "unknown workload 'nope'" in capsys.readouterr().err
+
+
+class TestCheckCli:
+    CHECK = ["check", "--workloads", "dcgan", "--layer", "tconv1"]
+
+    @pytest.mark.parametrize("schedule", ["default", "blocked", "hoisted", "raster"])
+    def test_json_matches_the_library_grid(self, schedule, capsys):
+        from repro.staticcheck import run_check_grid
+
+        assert main([*self.CHECK, "--schedule", schedule, "--json", "-"]) == 0
+        payload = json.loads(capsys.readouterr().out)["check"]
+        expected = run_check_grid(
+            ["DCGAN"], ["eyeriss", "ganax"], layer="tconv1", schedule=schedule
+        ).describe()
+        assert payload == expected
+        assert payload["ok"] is True
+        assert payload["cells"] == 4  # two accelerators x both skip modes
+
+    def test_text_summarizes_the_grid(self, capsys):
+        assert main(self.CHECK) == 0
+        out = capsys.readouterr().out
+        assert "checked 4 programs across 4 cells: 0 errors, 0 warnings" in out
+
+    def test_unknown_schedule_is_a_clean_error(self, capsys):
+        assert main([*self.CHECK, "--schedule", "nope"]) == 2
+        assert "unknown schedule 'nope'" in capsys.readouterr().err
+
+    def test_unknown_accelerator_is_a_clean_error(self, capsys):
+        assert main([*self.CHECK, "--accelerators", "nope"]) == 2
+        assert "unknown accelerator 'nope'" in capsys.readouterr().err
+
+
+class TestLintCli:
+    VIOLATION = "import time\n\n\ndef key_for(job):\n    return (job.name, time.time())\n"
+
+    def test_package_source_is_clean(self, capsys):
+        assert main(["lint"]) == 0
+        assert "0 finding(s)" in capsys.readouterr().out
+
+    def test_finding_fails_the_run(self, tmp_path, capsys):
+        path = tmp_path / "result_cache.py"
+        path.write_text(self.VIOLATION)
+        assert main(["lint", "--paths", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "wallclock-in-fingerprint" in out
+        assert "1 finding(s)" in out
+
+    def test_json_dash_reports_the_findings(self, tmp_path, capsys):
+        path = tmp_path / "result_cache.py"
+        path.write_text(self.VIOLATION)
+        assert main(["lint", "--paths", str(path), "--json", "-"]) == 1
+        payload = json.loads(capsys.readouterr().out)["lint"]
+        assert payload["ok"] is False
+        assert [f["check_id"] for f in payload["findings"]] == [
+            "wallclock-in-fingerprint"
+        ]

@@ -28,7 +28,6 @@ from repro.nn.shapes import FeatureMapShape
 from repro.runner import (
     LAYER_MEMO_DIR_ENV,
     LAYER_MEMO_ENV,
-    AsyncioBackend,
     LayerMemoStore,
     ProcessPoolBackend,
     SerialBackend,
@@ -327,16 +326,12 @@ class TestMemoizedExecution:
 class TestBackendLayerTotals:
     """Sum-of-layer results equals the job-level golden totals everywhere."""
 
-    @pytest.fixture(
-        params=["serial", "process-pool", "asyncio"], ids=str, scope="class"
-    )
+    @pytest.fixture(params=["serial", "process-pool"], ids=str, scope="class")
     def backend(self, request):
         if request.param == "serial":
             backend = SerialBackend()
-        elif request.param == "process-pool":
-            backend = ProcessPoolBackend(max_workers=2)
         else:
-            backend = AsyncioBackend(max_workers=2)
+            backend = ProcessPoolBackend(max_workers=2)
         yield backend
         backend.close()
 

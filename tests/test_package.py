@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -68,6 +69,51 @@ class TestErrorHierarchy:
     def test_catching_repro_error_covers_library_failures(self):
         with pytest.raises(errors.ReproError):
             repro.get_workload("does-not-exist")
+
+    # One instance of every error class in repro.errors.  A job that fails in
+    # a process-pool worker ships its exception back pickled, so each must
+    # come back with its type, message and structured fields intact.
+    PICKLE_CASES = [
+        errors.ReproError("base failure"),
+        errors.ConfigurationError("num_pvs must be positive"),
+        errors.ShapeError("channel mismatch"),
+        errors.LayerError("stride must be >= 1"),
+        errors.NetworkError("shape chain broken"),
+        errors.WorkloadError("cannot build workload"),
+        errors.UnknownWorkloadError("dcgam", ("DCGAN", "3D-GAN"), ("dcgan", "synthetic")),
+        errors.IsaError("bad µop"),
+        errors.AssemblerError("unknown mnemonic"),
+        errors.ProgramError("empty program"),
+        errors.ProgramEncodingError("tconv1", "global µop 12", "Mac()", "field overflow"),
+        errors.HardwareError("misused primitive"),
+        errors.FifoError("pop on empty FIFO"),
+        errors.BufferError_("address out of range"),
+        errors.SimulationError("machine stalled"),
+        errors.CompilationError("cannot lower layer"),
+        errors.DataflowError("inconsistent schedule"),
+        errors.ScheduleError("bad knob"),
+        errors.UnknownScheduleError("hoist", ("default", "hoisted"), ("colmajor",)),
+        errors.AnalysisError("empty result set"),
+        errors.UnknownAcceleratorError("ganx", ("eyeriss", "ganax")),
+        errors.ExperimentError("experiment failed"),
+    ]
+
+    @pytest.mark.parametrize("error", PICKLE_CASES, ids=lambda e: type(e).__name__)
+    def test_error_survives_a_pickle_round_trip(self, error):
+        clone = pickle.loads(pickle.dumps(error))
+        assert type(clone) is type(error)
+        assert str(clone) == str(error)
+        assert vars(clone) == vars(error)
+
+    def test_pickle_cases_cover_every_library_error(self):
+        defined = {
+            obj
+            for obj in vars(errors).values()
+            if isinstance(obj, type)
+            and issubclass(obj, errors.ReproError)
+            and obj.__module__ == errors.__name__
+        }
+        assert {type(error) for error in self.PICKLE_CASES} == defined
 
 
 @pytest.mark.parametrize("script", ["quickstart.py", "isa_walkthrough.py"])

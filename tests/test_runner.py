@@ -282,63 +282,6 @@ class TestCaches:
         assert len(cache) == 0
         assert cache.get(job.cache_key) is None
 
-    @staticmethod
-    def _write_legacy_entry(root, key, result):
-        """Plant an entry the way the pre-shard flat layout stored it."""
-        import pickle
-
-        root.mkdir(parents=True, exist_ok=True)
-        (root / f"{key}.pkl").write_bytes(
-            pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-        )
-
-    def test_disk_cache_reads_legacy_flat_layout(self, tmp_path, dcgan_model):
-        """A cache written before sharding still answers, and migrates."""
-        job = SimulationJob.comparison_pair(dcgan_model)[1]
-        result = execute_job(job)
-        self._write_legacy_entry(tmp_path / "cache", job.cache_key, result)
-        cache = DiskResultCache(tmp_path / "cache")
-        assert len(cache) == 1  # the flat entry is accounted for
-        assert cache.get(job.cache_key) == result
-        # the hit migrated the entry into its shard and removed the flat file
-        assert cache._path_for(job.cache_key).exists()
-        assert not cache._legacy_path_for(job.cache_key).exists()
-        assert len(cache) == 1  # migrated, not duplicated
-        # a cold instance now serves it straight from the sharded tree
-        assert DiskResultCache(tmp_path / "cache").get(job.cache_key) == result
-
-    def test_disk_cache_mixed_layout_accounting(self, tmp_path, dcgan_model):
-        """len/size_bytes/prune/clear see sharded and legacy entries alike."""
-        sharded_job, legacy_job = SimulationJob.comparison_pair(dcgan_model)
-        sharded_result = execute_job(sharded_job)
-        legacy_result = execute_job(legacy_job)
-        cache = DiskResultCache(tmp_path / "cache")
-        cache.put(sharded_job.cache_key, sharded_result)
-        self._write_legacy_entry(
-            tmp_path / "cache", legacy_job.cache_key, legacy_result
-        )
-        assert len(cache) == 2
-        expected = sum(
-            path.stat().st_size
-            for path in (
-                cache._path_for(sharded_job.cache_key),
-                cache._legacy_path_for(legacy_job.cache_key),
-            )
-        )
-        assert cache.size_bytes() == expected
-        stats = cache.prune(max_bytes=0)  # evicts both trees
-        assert stats.removed_entries == 2
-        assert stats.remaining_entries == 0
-        assert len(cache) == 0
-
-    def test_disk_cache_corrupt_legacy_entry_is_a_miss(self, tmp_path):
-        cache = DiskResultCache(tmp_path / "cache")
-        key = "cd" + "0" * 62
-        cache._legacy_path_for(key).write_bytes(b"torn legacy write")
-        fresh = DiskResultCache(tmp_path / "cache")
-        assert fresh.get(key) is None
-        assert not fresh._legacy_path_for(key).exists()  # dropped for rewrite
-
 
 # ----------------------------------------------------------------------
 # Runner plumbing

@@ -5,8 +5,8 @@ The load-bearing guarantees of the redesign:
 * **streaming-vs-batch parity** — the same jobs produce identical result
   sets and identical cache accounting whether consumed through
   ``run_jobs()`` (the blocking wrapper) or ``submit()`` +
-  ``as_completed()``/``iter_results()``, on every registered backend
-  (serial, process-pool, asyncio) and regardless of completion order;
+  ``as_completed()``/``iter_results()``, on both backends (serial,
+  process-pool) and regardless of completion order;
 * **event-sequence invariants** — every submitted job emits ``scheduled``
   first and then exactly one terminal event (``cache-hit`` / ``completed``
   / ``failed`` / ``cancelled``), with ``started`` strictly between for
@@ -32,17 +32,14 @@ from repro.accelerators import register_accelerator, unregister_accelerator
 from repro.analysis.sweep import ParameterSweep
 from repro.config import ArchitectureConfig
 from repro.dse import DesignSpaceExplorer, HillClimbSearch
-from repro.errors import ConfigurationError
 from repro.runner import (
     EVENT_KINDS,
     TERMINAL_EVENT_KINDS,
-    AsyncioBackend,
     DiskResultCache,
+    ProcessPoolBackend,
     SerialBackend,
     SimulationJob,
     SimulationRunner,
-    backend_names,
-    get_backend,
 )
 from repro.session import Session
 from repro.workloads.registry import get_workload
@@ -53,10 +50,13 @@ def small_models():
     return [get_workload("DCGAN"), get_workload("MAGAN"), get_workload("ArtGAN")]
 
 
-@pytest.fixture(scope="module", params=["serial", "process-pool", "asyncio"])
+@pytest.fixture(scope="module", params=["serial", "process-pool"])
 def each_backend(request):
-    """Every registered backend, shared across this module's parity tests."""
-    backend = get_backend(request.param, max_workers=2)
+    """Each backend, shared across this module's parity tests."""
+    if request.param == "serial":
+        backend = SerialBackend()
+    else:
+        backend = ProcessPoolBackend(max_workers=2)
     yield backend
     backend.close()
 
@@ -343,27 +343,25 @@ class TestCancellation:
         assert len(drained) == counts["completed"]
 
     def test_cancel_never_discards_an_executing_jobs_result(self, small_models):
-        """Cross-backend contract: cancel() only wins for unstarted jobs.
+        """Pool contract: cancel() only wins for unstarted jobs.
 
-        Every completion an active backend delivers after a cancel must be a
+        Every completion the pool delivers after a cancel must be a
         genuinely executed (or cached) result — a job that began executing
-        is never reported cancelled, on any backend.
+        is never reported cancelled.
         """
         reference = SimulationRunner().run_jobs(pair_jobs(small_models))
-        for name in ("process-pool", "asyncio"):
-            backend = get_backend(name, max_workers=1)
-            with SimulationRunner(backend=backend) as runner:
-                handle = runner.submit(pair_jobs(small_models))
-                stream = handle.as_completed()
-                first = next(stream)  # at least one job has executed
-                handle.cancel()
-                drained = [first, *stream]
-            counts = handle.counts()
-            assert counts["pending"] == 0, name
-            assert counts["completed"] == len(drained), name
-            assert counts["completed"] + counts["cancelled"] == 6, name
-            for completion in drained:
-                assert completion.result == reference[completion.index], name
+        with SimulationRunner(backend=ProcessPoolBackend(max_workers=1)) as runner:
+            handle = runner.submit(pair_jobs(small_models))
+            stream = handle.as_completed()
+            first = next(stream)  # at least one job has executed
+            handle.cancel()
+            drained = [first, *stream]
+        counts = handle.counts()
+        assert counts["pending"] == 0
+        assert counts["completed"] == len(drained)
+        assert counts["completed"] + counts["cancelled"] == 6
+        for completion in drained:
+            assert completion.result == reference[completion.index]
 
 
 # ----------------------------------------------------------------------
@@ -548,63 +546,11 @@ class TestExperimentProgress:
 
 
 # ----------------------------------------------------------------------
-# Backend registry
+# Process-pool dispatch
 # ----------------------------------------------------------------------
-class TestBackendRegistry:
-    def test_registered_names(self):
-        assert set(backend_names()) == {"serial", "process-pool", "asyncio"}
-
-    def test_get_backend_resolves_and_normalizes(self):
-        backend = get_backend(" SERIAL ")
-        assert backend.name == "serial"
-        pooled = get_backend("process-pool", max_workers=3)
-        assert pooled.max_workers == 3
-        pooled.close()
-
-    def test_unknown_backend_lists_registered_ones(self):
-        with pytest.raises(ConfigurationError) as excinfo:
-            get_backend("quantum")
-        message = str(excinfo.value)
-        for name in backend_names():
-            assert name in message
-
-    def test_asyncio_backend_close_is_idempotent(self, dcgan_model):
-        backend = AsyncioBackend(max_workers=1)
-        results = backend.run_jobs(list(SimulationJob.comparison_pair(dcgan_model)))
-        assert len(results) == 2
-        backend.close()
-        backend.close()
-
-    def test_asyncio_close_drains_in_flight_jobs(self, small_models):
-        """Closing the backend mid-batch must settle every future, not hang."""
-        runner = SimulationRunner(backend=AsyncioBackend(max_workers=1))
-        handle = runner.submit(pair_jobs(small_models))
-        runner.close()  # before consuming anything
-        results = handle.results()  # must not block forever
-        assert results == SimulationRunner().run_jobs(pair_jobs(small_models))
-        assert handle.counts()["pending"] == 0
-
-    def test_asyncio_close_after_cancel_destroys_no_pending_tasks(
-        self, small_models, caplog
-    ):
-        """Cancel + close must drain the loop's tasks, not destroy them."""
-        import logging
-
-        with caplog.at_level(logging.ERROR, logger="asyncio"):
-            runner = SimulationRunner(backend=AsyncioBackend(max_workers=1))
-            handle = runner.submit(pair_jobs(small_models))
-            next(handle.as_completed())
-            handle.cancel()
-            runner.close()
-        assert handle.counts()["pending"] == 0
-        assert not any(
-            "Task was destroyed" in record.message for record in caplog.records
-        )
-
+class TestPoolDispatch:
     def test_pool_chunked_dispatch_preserves_parity(self, small_models):
         """Large batches chunk (old pool.map bound) and still stream correctly."""
-        from repro.runner import ProcessPoolBackend
-
         jobs = [
             job
             for model in small_models
@@ -672,11 +618,10 @@ class TestDiskCacheConcurrentWriters:
 
 
 # ----------------------------------------------------------------------
-# Satellite: N server workers sharing one sharded DiskResultCache
+# Satellite: N worker processes sharing one sharded DiskResultCache
 # ----------------------------------------------------------------------
 _FLEET_SIZE = 4
 _FLEET_PAYLOAD_BYTES = 20_000
-_LEGACY_FLEET_KEY = "ef" + "1" * 62
 
 
 def _fleet_payload(worker_id: int) -> bytes:
@@ -689,7 +634,7 @@ def _fleet_key(worker_id: int, slot: int) -> str:
 
 
 def _fleet_worker(root: str, worker_id: int, iterations: int) -> None:
-    """One simulated service worker: interleaved put/get/prune on the cache.
+    """One worker process: interleaved put/get/prune on the shared cache.
 
     Any inconsistency (partial read, wrong payload, crash in prune) exits
     nonzero and fails the parent's exitcode assertion.
@@ -703,10 +648,6 @@ def _fleet_worker(root: str, worker_id: int, iterations: int) -> None:
         # complete — atomic publication means never a torn value
         value = DiskResultCache(root).get(_fleet_key(neighbour, i % 8))
         assert value is None or value == _fleet_payload(neighbour)
-        # the legacy flat entry stays readable while workers race to
-        # migrate it into its shard (prune may legitimately evict it later)
-        legacy = DiskResultCache(root).get(_LEGACY_FLEET_KEY)
-        assert legacy is None or legacy == b"legacy"
         if i % 10 == 7:
             # concurrent prunes race over the same files: entries vanishing
             # mid-pass must be tolerated, not raised
@@ -716,12 +657,6 @@ def _fleet_worker(root: str, worker_id: int, iterations: int) -> None:
 class TestDiskCacheWorkerFleet:
     def test_n_workers_share_one_sharded_cache(self, tmp_path):
         """A fleet of processes get/put/prune one cache without corruption."""
-        import pickle
-
-        # plant a pre-shard flat-layout entry for the fleet to read through
-        (tmp_path / f"{_LEGACY_FLEET_KEY}.pkl").write_bytes(
-            pickle.dumps(b"legacy", protocol=pickle.HIGHEST_PROTOCOL)
-        )
         context = multiprocessing.get_context()
         workers = [
             context.Process(

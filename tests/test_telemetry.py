@@ -2,8 +2,8 @@
 
 The load-bearing guarantees:
 
-* **span-tree invariants** — on every backend (serial, process-pool,
-  asyncio) a traced batch produces exactly one ``batch`` span, one ``job``
+* **span-tree invariants** — on both backends (serial, process-pool) a
+  traced batch produces exactly one ``batch`` span, one ``job``
   span per submitted job parented under it, every span closed exactly once,
   and no span left open after the batch completes;
 * **metrics-snapshot consistency** — the registry's snapshot is an atomic
@@ -26,7 +26,12 @@ import threading
 import pytest
 
 from repro.analysis.serialization import canonical_json, gan_result_rows
-from repro.runner import SimulationJob, SimulationRunner, get_backend
+from repro.runner import (
+    ProcessPoolBackend,
+    SerialBackend,
+    SimulationJob,
+    SimulationRunner,
+)
 from repro.runner.events import RECORD_SCHEMA_VERSION, RunnerEvent
 from repro.telemetry import (
     MetricsRegistry,
@@ -297,7 +302,7 @@ class TestEventGrammar:
         assert "job_uid" not in record  # pre-v2 producers simply omit it
 
     def test_runner_events_share_one_uid_per_job(self, dcgan_model):
-        runner = SimulationRunner(backend=get_backend("serial"))
+        runner = SimulationRunner(backend=SerialBackend())
         try:
             events = []
             jobs = SimulationJob.comparison_pair(dcgan_model)
@@ -359,10 +364,14 @@ class TestMetricsSubscriber:
 # Span-tree invariants on every backend
 # ----------------------------------------------------------------------
 class TestSpanTreeInvariants:
-    @pytest.mark.parametrize("backend_name", ["serial", "process-pool", "asyncio"])
-    def test_batch_job_tree_is_backend_invariant(self, backend_name, dcgan_model):
+    @pytest.mark.parametrize(
+        "make_backend",
+        [SerialBackend, lambda: ProcessPoolBackend(max_workers=2)],
+        ids=["serial", "process-pool"],
+    )
+    def test_batch_job_tree_is_backend_invariant(self, make_backend, dcgan_model):
         tracer = configure_tracing()
-        runner = SimulationRunner(backend=get_backend(backend_name, max_workers=2))
+        runner = SimulationRunner(backend=make_backend())
         try:
             jobs = SimulationJob.comparison_pair(dcgan_model)
             handle = runner.submit(jobs)
@@ -392,7 +401,7 @@ class TestSpanTreeInvariants:
 
     def test_cache_hits_and_dedup_close_their_job_spans(self, dcgan_model):
         tracer = configure_tracing()
-        runner = SimulationRunner(backend=get_backend("serial"))
+        runner = SimulationRunner(backend=SerialBackend())
         try:
             jobs = SimulationJob.comparison_pair(dcgan_model)
             # duplicates in one batch exercise the dedup path; the second
@@ -414,7 +423,7 @@ class TestSpanTreeInvariants:
     def test_execution_spans_nest_under_their_job(self, dcgan_model):
         """On in-process backends the simulate_layers span joins the tree."""
         tracer = configure_tracing()
-        runner = SimulationRunner(backend=get_backend("serial"))
+        runner = SimulationRunner(backend=SerialBackend())
         try:
             jobs = SimulationJob.comparison_pair(dcgan_model)
             list(runner.submit(jobs).as_completed())
@@ -437,7 +446,7 @@ class TestSpanTreeInvariants:
 # ----------------------------------------------------------------------
 class TestResultParity:
     def _result_bytes(self, model):
-        runner = SimulationRunner(backend=get_backend("serial"))
+        runner = SimulationRunner(backend=SerialBackend())
         try:
             results = runner.run_jobs(SimulationJob.comparison_pair(model))
         finally:
