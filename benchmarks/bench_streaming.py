@@ -11,16 +11,16 @@ runners and compares wall time:
 Streaming buys incremental results, typed events and cancellation; it must
 not tax the common case for it.  The contract enforced here: the streaming
 path stays within **10%** of the batch path's wall time on the six-GAN grid
-(both measured best-of-N to shave scheduler noise), produces byte-identical
-results, and a warm streaming submission resolves entirely from cache
-without touching the backend.
+(the median of per-round ratios over interleaved A/B rounds), produces
+byte-identical results, and a warm streaming submission resolves entirely
+from cache without touching the backend.
 """
 
 from __future__ import annotations
 
-import time
+import statistics
 
-from conftest import emit
+from conftest import emit, interleaved_rounds, median_ratio
 
 from repro.analysis.report import format_table
 from repro.runner import SerialBackend, SimulationJob, SimulationRunner
@@ -29,8 +29,8 @@ from repro.workloads.registry import all_workloads
 #: Maximum tolerated streaming wall time, as a fraction of the batch path.
 MAX_STREAMING_OVERHEAD = 1.10
 
-#: Timing repetitions; the best run is compared to shave scheduler noise.
-ROUNDS = 3
+#: Interleaved A/B rounds; the gate reads the median of the paired ratios.
+ROUNDS = 41
 
 
 def grid_jobs():
@@ -39,17 +39,6 @@ def grid_jobs():
         for model in all_workloads()
         for job in SimulationJob.comparison_pair(model)
     ]
-
-
-def timed_best(fn, rounds=ROUNDS):
-    best_result, best_seconds = None, float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        result = fn()
-        seconds = time.perf_counter() - start
-        if seconds < best_seconds:
-            best_result, best_seconds = result, seconds
-    return best_result, best_seconds
 
 
 def run_batch():
@@ -70,15 +59,18 @@ def run_streaming():
 
 def test_streaming_overhead_within_budget(benchmark):
     """Streaming submit/as_completed must stay within 10% of run_jobs."""
-    batch_results, batch_seconds = benchmark.pedantic(
-        lambda: timed_best(run_batch), iterations=1, rounds=1
+    seconds, results = benchmark.pedantic(
+        lambda: interleaved_rounds(
+            {"batch": run_batch, "streaming": run_streaming}, ROUNDS
+        ),
+        iterations=1,
+        rounds=1,
     )
-    streaming_results, streaming_seconds = timed_best(run_streaming)
 
     # Identical values: streaming is a consumption strategy, not a new path.
-    assert streaming_results == batch_results
+    assert results["streaming"] == results["batch"]
 
-    overhead = streaming_seconds / batch_seconds if batch_seconds > 0 else 1.0
+    overhead = median_ratio(seconds["streaming"], seconds["batch"])
     assert overhead <= MAX_STREAMING_OVERHEAD, (
         f"streaming took {overhead:.2f}x the batch path; "
         f"budget is {MAX_STREAMING_OVERHEAD:.2f}x"
@@ -96,12 +88,19 @@ def test_streaming_overhead_within_budget(benchmark):
     jobs = len(grid_jobs())
     emit(
         format_table(
-            ["Path", "Wall time (ms)", "vs batch"],
+            ["Path", "Median wall time (ms)", "Median paired ratio"],
             [
-                ["batch run_jobs", 1e3 * batch_seconds, 1.0],
-                ["streaming as_completed", 1e3 * streaming_seconds, overhead],
+                ["batch run_jobs", 1e3 * statistics.median(seconds["batch"]), 1.0],
+                [
+                    "streaming as_completed",
+                    1e3 * statistics.median(seconds["streaming"]),
+                    overhead,
+                ],
             ],
-            title=f"Streaming overhead: {jobs}-job six-GAN grid (serial)",
+            title=(
+                f"Streaming overhead: {jobs}-job six-GAN grid (serial, "
+                f"{ROUNDS} interleaved rounds)"
+            ),
             float_format="{:.2f}",
         )
     )

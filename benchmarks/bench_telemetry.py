@@ -14,16 +14,20 @@ fractions of *real simulation work*, the regime where overhead matters.
 * **full telemetry is cheap** — with metrics *and* tracing on (the most
   expensive configuration: every job allocates spans, every layer-memo
   lookup updates counters), the grid must stay within **10%** of the dark
-  grid's wall time, best-of-N both sides;
+  grid's wall time;
 * **telemetry never perturbs the physics** — the full-telemetry grid's
   results equal the dark grid's results value-for-value.
+
+The three configurations run in interleaved rounds with a rotating order,
+and each budget gates on the median of its per-round ratios to the dark
+grid.
 """
 
 from __future__ import annotations
 
-import time
+import statistics
 
-from conftest import emit
+from conftest import emit, interleaved_rounds, median_ratio
 
 from repro.analysis.report import format_table
 from repro.runner import (
@@ -52,8 +56,8 @@ MAX_DISABLED_OVERHEAD = 0.02
 #: 300 is a 3x over-estimate.
 DISABLED_HOOK_CALLS = 300
 
-#: Timing repetitions; the best run is compared to shave scheduler noise.
-ROUNDS = 3
+#: Interleaved rounds; each gate reads the median of the paired ratios.
+ROUNDS = 41
 
 
 def grid_jobs():
@@ -62,17 +66,6 @@ def grid_jobs():
         for model in all_workloads()
         for job in SimulationJob.comparison_pair(model)
     ]
-
-
-def timed_best(fn, rounds=ROUNDS):
-    best_result, best_seconds = None, float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        result = fn()
-        seconds = time.perf_counter() - start
-        if seconds < best_seconds:
-            best_result, best_seconds = result, seconds
-    return best_result, best_seconds
 
 
 def run_grid():
@@ -85,13 +78,22 @@ def run_grid():
         runner.close()
 
 
+def dark_grid():
+    configure_metrics(enabled=False)
+    configure_tracing(enabled=False)
+    return run_grid()
+
+
 def disabled_hook_storm(calls=DISABLED_HOOK_CALLS):
     """The guard an instrumented call site runs when telemetry is off.
 
     Each site checks one registry (metrics *or* tracing, not both), so one
     iteration here is one real crossing; the tracer guard is asserted once
-    outside the loop.
+    outside the loop.  Switching telemetry off first is timed too, which
+    only over-counts the cost.
     """
+    configure_metrics(enabled=False)
+    configure_tracing(enabled=False)
     if get_tracer() is not None:  # pragma: no cover - telemetry is off
         raise AssertionError("tracing unexpectedly enabled")
     for _ in range(calls):
@@ -99,39 +101,43 @@ def disabled_hook_storm(calls=DISABLED_HOOK_CALLS):
             raise AssertionError("metrics unexpectedly enabled")
 
 
+def full_grid():
+    """The grid with metrics and a fresh tracer on; returns what they saw."""
+    registry = configure_metrics()
+    tracer = configure_tracing()
+    return run_grid(), tracer, registry
+
+
 def test_telemetry_overhead_within_budget(benchmark):
     """Disabled hooks <= 2% of dark time; full telemetry <= 10%."""
     try:
-        configure_metrics(enabled=False)
-        configure_tracing(enabled=False)
         configure_layer_memo(enabled=False)
-        run_grid()  # warm the shape-grain lru caches before any timing
-        dark_results, dark_seconds = benchmark.pedantic(
-            lambda: timed_best(run_grid), iterations=1, rounds=1
+        dark_grid()  # warm the shape-grain lru caches before any timing
+        seconds, results = benchmark.pedantic(
+            lambda: interleaved_rounds(
+                {"dark": dark_grid, "disabled": disabled_hook_storm, "full": full_grid},
+                ROUNDS,
+            ),
+            iterations=1,
+            rounds=1,
         )
+        dark_seconds = seconds["dark"]
 
-        _, disabled_seconds = timed_best(disabled_hook_storm)
-        disabled_fraction = (
-            disabled_seconds / dark_seconds if dark_seconds > 0 else 0.0
-        )
+        disabled_fraction = median_ratio(seconds["disabled"], dark_seconds)
         assert disabled_fraction <= MAX_DISABLED_OVERHEAD, (
             f"{DISABLED_HOOK_CALLS} disabled hook crossings cost "
             f"{100 * disabled_fraction:.2f}% of the dark grid; budget is "
             f"{100 * MAX_DISABLED_OVERHEAD:.0f}%"
         )
 
-        configure_metrics()
-        tracer = configure_tracing()
-        full_results, full_seconds = timed_best(run_grid)
-
+        full_results, tracer, registry = results["full"]
         # Telemetry observes the simulation; it must not change it.
-        assert full_results == dark_results
+        assert full_results == results["dark"]
         # ...and it really was on: spans and counters were recorded.
         assert tracer.finished_spans()
-        registry = get_metrics()
         assert registry.counter_value("runner.jobs.scheduled") > 0
 
-        overhead = full_seconds / dark_seconds if dark_seconds > 0 else 1.0
+        overhead = median_ratio(seconds["full"], dark_seconds)
         assert overhead <= MAX_FULL_TELEMETRY_OVERHEAD, (
             f"full telemetry took {overhead:.2f}x the dark grid; "
             f"budget is {MAX_FULL_TELEMETRY_OVERHEAD:.2f}x"
@@ -140,17 +146,24 @@ def test_telemetry_overhead_within_budget(benchmark):
         jobs = len(grid_jobs())
         emit(
             format_table(
-                ["Configuration", "Wall time (ms)", "vs telemetry off"],
+                ["Configuration", "Median wall time (ms)", "Median paired ratio"],
                 [
-                    ["telemetry off", 1e3 * dark_seconds, 1.0],
+                    ["telemetry off", 1e3 * statistics.median(dark_seconds), 1.0],
                     [
                         f"disabled hooks x{DISABLED_HOOK_CALLS}",
-                        1e3 * disabled_seconds,
+                        1e3 * statistics.median(seconds["disabled"]),
                         disabled_fraction,
                     ],
-                    ["metrics + tracing", 1e3 * full_seconds, overhead],
+                    [
+                        "metrics + tracing",
+                        1e3 * statistics.median(seconds["full"]),
+                        overhead,
+                    ],
                 ],
-                title=f"Telemetry overhead: {jobs}-job six-GAN grid (serial)",
+                title=(
+                    f"Telemetry overhead: {jobs}-job six-GAN grid (serial, "
+                    f"{ROUNDS} interleaved rounds)"
+                ),
                 float_format="{:.3f}",
             )
         )

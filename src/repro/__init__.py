@@ -93,77 +93,15 @@ simulations finish, instead of with the slowest model::
 Registering a custom accelerator or workload makes it addressable everywhere
 a name is accepted (jobs, sessions, sweeps, the CLI) — see
 ``repro/runner/README.md`` and ``repro/workloads/README.md``.
+
+Subpackages load on first use: this module and the ``core``, ``hw``, ``nn``
+and ``isa`` packages re-export their names lazily (PEP 562), importing a
+submodule the first time one of its names is touched.  A serial ``compare``
+— the analytic speedup and energy model — therefore runs without importing
+numpy, the µop compiler, the cycle-level machine, DSE or the process pool.
 """
 
-from .accelerators import (
-    AcceleratorModel,
-    AcceleratorSpec,
-    accelerator_names,
-    create_accelerator,
-    get_accelerator,
-    register_accelerator,
-)
-from .analysis import (
-    ComparisonResult,
-    GanResult,
-    LayerResult,
-    MultiComparison,
-    NetworkResult,
-    compare_accelerators,
-    compare_model,
-    compare_models,
-)
-from .baseline import EyerissSimulator
-from .config import ArchitectureConfig, SimulationOptions
-from .core import (
-    DataflowSchedule,
-    GanaxLayerExecutor,
-    GanaxMachine,
-    GanaxSimulator,
-    StridedIndexGenerator,
-    build_schedule,
-)
-from .dse import (
-    DesignPoint,
-    DesignSpace,
-    DesignSpaceExplorer,
-    ExplorationResult,
-    ParetoFrontier,
-    explore,
-)
-from .errors import ReproError, UnknownAcceleratorError
-from .session import Session
-from .hw import AreaModel, EnergyBreakdown, EnergyModel, EnergyTable, EventCounters
-from .runner import (
-    BatchHandle,
-    JobCompletion,
-    ProcessPoolBackend,
-    RunnerEvent,
-    SerialBackend,
-    SimulationJob,
-    SimulationRunner,
-    get_default_runner,
-    set_default_runner,
-)
-from .nn import (
-    ConvLayer,
-    FeatureMapShape,
-    GANModel,
-    Network,
-    TransposedConvLayer,
-)
-from .workloads import (
-    WorkloadFamily,
-    WorkloadSpec,
-    all_workloads,
-    get_workload,
-    get_workload_family,
-    register_workload,
-    register_workload_family,
-    resolve_workload,
-    workload_families,
-    workload_names,
-)
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -231,3 +169,72 @@ __all__ = [
     "workload_names",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".accelerators": (
+            "AcceleratorModel",
+            "AcceleratorSpec",
+            "accelerator_names",
+            "create_accelerator",
+            "get_accelerator",
+            "register_accelerator",
+        ),
+        ".analysis": (
+            "ComparisonResult",
+            "GanResult",
+            "LayerResult",
+            "MultiComparison",
+            "NetworkResult",
+            "compare_accelerators",
+            "compare_model",
+            "compare_models",
+        ),
+        ".baseline": ("EyerissSimulator",),
+        ".config": ("ArchitectureConfig", "SimulationOptions"),
+        ".core": (
+            "DataflowSchedule",
+            "GanaxLayerExecutor",
+            "GanaxMachine",
+            "GanaxSimulator",
+            "StridedIndexGenerator",
+            "build_schedule",
+        ),
+        ".dse": (
+            "DesignPoint",
+            "DesignSpace",
+            "DesignSpaceExplorer",
+            "ExplorationResult",
+            "ParetoFrontier",
+            "explore",
+        ),
+        ".errors": ("ReproError", "UnknownAcceleratorError"),
+        ".session": ("Session",),
+        ".hw": ("AreaModel", "EnergyBreakdown", "EnergyModel", "EnergyTable", "EventCounters"),
+        ".runner": (
+            "BatchHandle",
+            "JobCompletion",
+            "ProcessPoolBackend",
+            "RunnerEvent",
+            "SerialBackend",
+            "SimulationJob",
+            "SimulationRunner",
+            "get_default_runner",
+            "set_default_runner",
+        ),
+        ".nn": ("ConvLayer", "FeatureMapShape", "GANModel", "Network", "TransposedConvLayer"),
+        ".workloads": (
+            "WorkloadFamily",
+            "WorkloadSpec",
+            "all_workloads",
+            "get_workload",
+            "get_workload_family",
+            "register_workload",
+            "register_workload_family",
+            "resolve_workload",
+            "workload_families",
+            "workload_names",
+        ),
+    },
+)

@@ -73,11 +73,7 @@ from .analysis.charts import frontier_chart, multi_comparison_chart
 from .analysis.report import format_table
 from .config import ArchitectureConfig, SimulationOptions
 from .analysis.serialization import multi_comparison_rows
-from .dse.engine import DesignSpaceExplorer
-from .dse.strategies import get_strategy
 from .errors import ReproError, UnknownAcceleratorError, UnknownWorkloadError
-from .experiments.base import ExperimentContext
-from .experiments.registry import experiment_ids, run_all, run_experiment
 from .runner import (
     DiskResultCache,
     ProcessPoolBackend,
@@ -821,6 +817,9 @@ def _run_disasm(args: argparse.Namespace) -> int:
 
 def _run_dse(args: argparse.Namespace, runner: SimulationRunner) -> int:
     """The ``dse`` mode: search one accelerator's design space, report the frontier."""
+    from .dse.engine import DesignSpaceExplorer
+    from .dse.strategies import get_strategy
+
     try:
         options = None
         if args.schedule is not None:
@@ -1071,6 +1070,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
 
     if args.experiment == "list":
+        from .experiments.registry import experiment_ids
+
         for experiment_id in experiment_ids():
             print(experiment_id)
         return 0
@@ -1139,6 +1140,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             # don't leave the process-global tracer collecting spans after
             # the invocation it was asked for
             configure_tracing(enabled=False)
+
+    from .experiments.base import ExperimentContext
+    from .experiments.registry import run_all, run_experiment
 
     context = ExperimentContext(runner=runner)
     try:

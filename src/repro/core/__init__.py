@@ -1,23 +1,6 @@
 """GANAX core: dataflow, ISA-level machine, compiler and analytical simulator."""
 
-from .access_engine import AccessEngine
-from .compiler import GanaxLayerExecutor, LayerExecution
-from .dataflow import (
-    ColumnSegment,
-    DataflowSchedule,
-    RowGroup,
-    average_active_filter_rows,
-    build_schedule,
-    pv_assignment,
-)
-from .execute_engine import ExecuteEngine
-from .index_generator import GeneratorConfig, StridedIndexGenerator
-from .machine import GanaxMachine, MachineRunStatistics
-from .pe import ProcessingEngine
-from .performance import GanaxLayerEstimate, estimate_layer
-from .pv import ProcessingVector
-from .simulator import ACCELERATOR_NAME, GanaxSimulator
-from .uop_buffers import GlobalUopBuffer, LocalUopBuffer
+from .._lazy import lazy_exports
 
 __all__ = [
     "AccessEngine",
@@ -43,3 +26,27 @@ __all__ = [
     "GlobalUopBuffer",
     "LocalUopBuffer",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".access_engine": ("AccessEngine",),
+        ".compiler": ("GanaxLayerExecutor", "LayerExecution"),
+        ".dataflow": (
+            "ColumnSegment",
+            "DataflowSchedule",
+            "RowGroup",
+            "average_active_filter_rows",
+            "build_schedule",
+            "pv_assignment",
+        ),
+        ".execute_engine": ("ExecuteEngine",),
+        ".index_generator": ("GeneratorConfig", "StridedIndexGenerator"),
+        ".machine": ("GanaxMachine", "MachineRunStatistics"),
+        ".pe": ("ProcessingEngine",),
+        ".performance": ("GanaxLayerEstimate", "estimate_layer"),
+        ".pv": ("ProcessingVector",),
+        ".simulator": ("ACCELERATOR_NAME", "GanaxSimulator"),
+        ".uop_buffers": ("GlobalUopBuffer", "LocalUopBuffer"),
+    },
+)

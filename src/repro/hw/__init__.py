@@ -1,18 +1,6 @@
 """Hardware substrate: FIFOs, scratchpads, DRAM, NoC, energy and area models."""
 
-from .area import AcceleratorAreaBreakdown, AreaModel, PeAreaBreakdown
-from .counters import EventCounters
-from .dram import DramModel, DramTraffic
-from .energy import ENERGY_COMPONENTS, EnergyBreakdown, EnergyModel, EnergyTable
-from .fifo import Fifo
-from .fixed_point import (
-    FixedPointAccumulator,
-    FixedPointFormat,
-    quantization_error,
-    quantize,
-)
-from .noc import NocModel, NocStatistics
-from .sram import Scratchpad
+from .._lazy import lazy_exports
 
 __all__ = [
     "AcceleratorAreaBreakdown",
@@ -34,3 +22,22 @@ __all__ = [
     "NocStatistics",
     "Scratchpad",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".area": ("AcceleratorAreaBreakdown", "AreaModel", "PeAreaBreakdown"),
+        ".counters": ("EventCounters",),
+        ".dram": ("DramModel", "DramTraffic"),
+        ".energy": ("ENERGY_COMPONENTS", "EnergyBreakdown", "EnergyModel", "EnergyTable"),
+        ".fifo": ("Fifo",),
+        ".fixed_point": (
+            "FixedPointAccumulator",
+            "FixedPointFormat",
+            "quantization_error",
+            "quantize",
+        ),
+        ".noc": ("NocModel", "NocStatistics"),
+        ".sram": ("Scratchpad",),
+    },
+)

@@ -20,9 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate
 from typing import Optional, Sequence, Tuple
-
-import numpy as np
 
 from ..errors import LayerError, ShapeError
 from .shapes import (
@@ -111,21 +110,21 @@ def consequential_taps_along_extent(
 ) -> Tuple[int, ...]:
     """Per-output-coordinate consequential tap counts along one dimension.
 
-    Vectorized over the (output coordinate, kernel tap) grid and memoized on
-    the five geometry scalars: the same extents recur for every channel pair,
-    every repeated block of a generator stack, and across workload variants
-    that share layer geometry, so virtually all calls after the first are
-    dictionary lookups.
+    Marks the genuine elements of the expanded input, then slides the kernel
+    window over a prefix sum of the marks.  Memoized on the five geometry
+    scalars: the same extents recur for every channel pair, every repeated
+    block of a generator stack, and across workload variants that share
+    layer geometry, so virtually all calls after the first are dictionary
+    lookups.
     """
     border = kernel - 1 - padding
     zi_extent = (in_extent - 1) * stride + 1
-    expanded = (
-        np.arange(out_extent, dtype=np.int64)[:, None]
-        + np.arange(kernel, dtype=np.int64)[None, :]
-        - border
-    )
-    genuine = (expanded >= 0) & (expanded < zi_extent) & (expanded % stride == 0)
-    return tuple(int(taps) for taps in genuine.sum(axis=1))
+    span = out_extent + kernel - 1
+    genuine = [0] * span
+    for position in range(border, min(border + zi_extent, span), stride):
+        genuine[position] = 1
+    prefix = [0, *accumulate(genuine)]
+    return tuple(prefix[out + kernel] - prefix[out] for out in range(out_extent))
 
 
 @dataclass(frozen=True)

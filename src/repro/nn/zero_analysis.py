@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
-import numpy as np
-
 from ..errors import LayerError
 from .layers import ConvLayer, LayerSpec, TransposedConvLayer
 from .shapes import FeatureMapShape
@@ -154,14 +152,11 @@ def _phase_taps(taps: Tuple[int, ...], stride: int) -> Tuple[int, ...]:
     """Representative (interior) tap count per output-column phase.
 
     Interior columns of one phase all share the same count; borders may be
-    truncated, so the per-phase maximum is the interior value.  Vectorized
-    (one grouped-maximum over the whole tap row) and memoized per
+    truncated, so the per-phase maximum is the interior value.  Memoized per
     (taps, stride): distinct layers of the same geometry share one entry.
     """
-    counts = np.asarray(taps, dtype=np.int64)
-    maxima = np.zeros(stride, dtype=np.int64)  # phases with no columns stay 0
-    np.maximum.at(maxima, np.arange(len(taps), dtype=np.int64) % stride, counts)
-    return tuple(int(value) for value in maxima)
+    # phases with no columns (outputs narrower than the stride) stay 0
+    return tuple(max(taps[phase::stride], default=0) for phase in range(stride))
 
 
 def _count_rows_with_phase(extent: int, stride: int, phase: int) -> int:
@@ -183,6 +178,8 @@ def count_consequential_macs_bruteforce(
     tests; the exact arithmetic in :meth:`TransposedConvLayer.consequential_macs`
     must agree with it.
     """
+    import numpy as np
+
     if layer.rank not in (1, 2, 3):
         raise LayerError("brute-force counting supports ranks 1-3 only")
     out = layer.output_shape(input_shape)

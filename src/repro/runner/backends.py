@@ -31,12 +31,15 @@ from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import CancelledError, ProcessPoolExecutor
-from typing import Callable, List, Optional, Sequence, Tuple
+from concurrent.futures import CancelledError
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
 from ..analysis.results import GanResult
 from ..telemetry import get_metrics
 from .job import SimulationJob, execute_job
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 _PENDING = "pending"
 _RUNNING = "running"
@@ -405,9 +408,10 @@ class ProcessPoolBackend(ExecutionBackend):
     visible (many chunks are still in flight at once).
 
     The pool is created lazily on the first batch and reused across batches,
-    so repeated sweep submissions amortise the worker start-up cost.  Call
-    :meth:`close` (or use the backend as a context manager) to shut the
-    workers down.
+    so repeated sweep submissions amortise the worker start-up cost.  Its
+    ``multiprocessing`` machinery is imported then too, so serial runs never
+    load it.  Call :meth:`close` (or use the backend as a context manager) to
+    shut the workers down.
     """
 
     name = "process-pool"
@@ -418,6 +422,8 @@ class ProcessPoolBackend(ExecutionBackend):
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
+            from concurrent.futures import ProcessPoolExecutor
+
             self._pool = ProcessPoolExecutor(max_workers=self._max_workers)
         return self._pool
 

@@ -15,8 +15,7 @@ to hold for caching, concurrency or the wire protocol to stay sound:
 ``record-schema-version``
     Every wire/JSONL record constructor (functions ending in ``_record`` and
     ``describe`` methods returning typed records) must produce records that
-    carry ``schema_version`` — either literally or by routing through
-    ``stamp(...)``.
+    carry ``schema_version`` as a literal key.
 ``unfrozen-isa-dataclass``
     µop dataclasses in ``isa/`` modules must be ``frozen=True``; program
     containers rely on value semantics and hashability.
@@ -68,8 +67,8 @@ LINT_CATALOG: Dict[str, str] = {
         "under the lock everywhere outside __init__"
     ),
     "record-schema-version": (
-        "wire/JSONL record constructors must emit schema_version (literally "
-        "or via stamp(...))"
+        "wire/JSONL record constructors must emit schema_version as a "
+        "literal key"
     ),
     "unfrozen-isa-dataclass": "dataclasses in isa/ modules must be frozen=True",
 }
@@ -311,14 +310,12 @@ def _lint_record_schema(module: _Module, emit: _Emitter) -> None:
                 continue
             value = child.value
             if isinstance(value, ast.Call):
-                dotted = _dotted_name(value.func)
-                if dotted.split(".")[-1] == "stamp":
-                    continue
                 if is_constructor:
+                    dotted = _dotted_name(value.func)
                     emit.emit(
                         "record-schema-version", child.lineno,
                         f"{node.name} returns {dotted or 'a call'}(...) instead "
-                        "of stamp(...) or a literal carrying schema_version",
+                        "of a literal carrying schema_version",
                     )
                 continue
             if isinstance(value, ast.Dict):
@@ -329,7 +326,7 @@ def _lint_record_schema(module: _Module, emit: _Emitter) -> None:
                     emit.emit(
                         "record-schema-version", child.lineno,
                         f"{node.name} returns a record dict without "
-                        "schema_version (wrap it in stamp(...) or add the key)",
+                        "schema_version (add the key)",
                     )
 
 

@@ -1,47 +1,19 @@
-"""Profiling hooks: timed regions into histograms, cProfile around blocks.
+"""Profiling hook: cProfile around a block.
 
-Two small, composable tools — deliberately thin wrappers so any layer can
-adopt them without new dependencies:
-
-* :func:`timed` — a context manager observing the block's wall time into a
-  registry histogram (no-op when metrics are disabled), so a call site
-  records a ``*_seconds`` histogram without hand-rolled clock arithmetic.
-* :func:`profile_to` — a context manager running the block under
-  :mod:`cProfile` and dumping pstats to a path; load the dump with
-  ``python -m pstats`` or ``snakeviz``.  Profiling is always explicit and
-  scoped — there is no ambient profiler to forget running.
+:func:`profile_to` is a context manager running the block under
+:mod:`cProfile` and dumping pstats to a path; load the dump with
+``python -m pstats`` or ``snakeviz``.  Profiling is always explicit and
+scoped — there is no ambient profiler to forget running.
 """
 
 from __future__ import annotations
 
 import cProfile
-import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterator, Optional, Union
-
-from .metrics import Histogram, get_metrics
+from typing import Iterator, Optional, Union
 
 PathLike = Union[str, Path]
-
-
-@contextmanager
-def timed(name: str, **labels: Any) -> Iterator[None]:
-    """Observe the block's duration (seconds) into histogram ``name``.
-
-    Resolves the registry at entry, so a block running while metrics are
-    disabled costs one ``None`` check and nothing else.
-    """
-    registry = get_metrics()
-    if registry is None:
-        yield
-        return
-    histogram: Histogram = registry.histogram(name, **labels)
-    start = time.perf_counter()
-    try:
-        yield
-    finally:
-        histogram.observe(time.perf_counter() - start)
 
 
 @contextmanager

@@ -65,6 +65,39 @@ class TestMain:
         ).stdout
         assert out.strip() == ""
 
+    def test_compare_loads_only_what_it_runs(self, tmp_path):
+        """An analytic ``compare`` never loads numpy, the pool, DSE or the compiler."""
+        probe = (
+            "import sys, repro.cli\n"
+            "code = repro.cli.main(['compare', '--workloads', 'DCGAN', "
+            f"'--json', {str(tmp_path / 'out.json')!r}, '--quiet'])\n"
+            "assert code == 0, code\n"
+            "print(','.join(sorted(sys.modules)))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        loaded = set(
+            subprocess.run(
+                [sys.executable, "-c", probe],
+                capture_output=True,
+                text=True,
+                check=True,
+                env=env,
+            ).stdout.strip().split(",")
+        )
+        assert "repro.session" in loaded
+        unwanted = {
+            "numpy",
+            "multiprocessing",
+            "concurrent.futures.process",
+            "repro.core.compiler",
+            "repro.core.machine",
+            "repro.dse",
+            "repro.staticcheck",
+            "repro.experiments",
+        }
+        assert not unwanted & loaded
+        assert json.loads((tmp_path / "out.json").read_text())
+
     def test_json_output(self, tmp_path, capsys):
         path = tmp_path / "results.json"
         assert main(["table3", "--json", str(path), "--quiet"]) == 0

@@ -481,15 +481,13 @@ class TestLints:
         )
         assert ids_of_lint(run_lints([path])) == {"record-schema-version"}
 
-    def test_stamped_and_literal_records_pass(self, tmp_path):
+    def test_literal_records_pass(self, tmp_path):
         path = _write(
             tmp_path,
             "wire.py",
             """
-            from proto import stamp
-
             def job_record(job):
-                return stamp({"type": "job", "name": job.name})
+                return {"type": "job", "name": job.name, "schema_version": 3}
 
             class Event:
                 def describe(self):

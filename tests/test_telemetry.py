@@ -41,7 +41,6 @@ from repro.telemetry import (
     configure_tracing,
     get_metrics,
     get_tracer,
-    timed,
 )
 
 
@@ -260,25 +259,6 @@ class TestTracer:
         assert get_tracer() is tracer
         assert configure_tracing(enabled=False) is None
         assert get_tracer() is None
-
-
-# ----------------------------------------------------------------------
-# Profiling hooks
-# ----------------------------------------------------------------------
-class TestProfilingHooks:
-    def test_timed_feeds_a_histogram(self):
-        with timed("unit.test.block", phase="setup"):
-            pass
-        registry = get_metrics()
-        summary = registry.histogram("unit.test.block", phase="setup").summary()
-        assert summary["count"] == 1
-        assert summary["min"] >= 0
-
-    def test_timed_is_a_noop_when_metrics_disabled(self):
-        configure_metrics(enabled=False)
-        with timed("unit.test.block"):
-            pass  # must not raise, must not create anything
-        assert get_metrics() is None
 
 
 # ----------------------------------------------------------------------

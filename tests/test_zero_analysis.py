@@ -5,9 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import LayerError
-from repro.nn.layers import ConvLayer, TransposedConvLayer
+from repro.nn.layers import ConvLayer, TransposedConvLayer, consequential_taps_along_extent
 from repro.nn.shapes import FeatureMapShape
 from repro.nn.zero_analysis import (
+    _phase_taps,
     analyze_transposed_conv,
     count_consequential_macs_bruteforce,
     distinct_row_patterns,
@@ -99,6 +100,83 @@ class TestBruteForceCrossCheck:
             name="t", out_channels=1, kernel=(5, 3), stride=(2, 1), padding=(2, 1)
         )
         shape = FeatureMapShape.image(1, 4, 6)
+        assert layer.consequential_macs(shape) == count_consequential_macs_bruteforce(
+            layer, shape
+        )
+
+
+def _reference_taps(in_extent, out_extent, kernel, stride, padding):
+    """Brute-force 1-D count: lay the genuine inputs out, slide the window."""
+    border = kernel - 1 - padding
+    genuine = {border + stride * index for index in range(in_extent)}
+    return tuple(
+        sum(1 for tap in range(kernel) if out + tap in genuine)
+        for out in range(out_extent)
+    )
+
+
+def _reference_phase_taps(taps, stride):
+    maxima = [0] * stride
+    for column, count in enumerate(taps):
+        maxima[column % stride] = max(maxima[column % stride], count)
+    return tuple(maxima)
+
+
+class TestTapCountHelpers:
+    """The plain-integer tap helpers against an independent brute force."""
+
+    @pytest.mark.parametrize("stride", [1, 2, 3, 4])
+    def test_exhaustive_small_grid(self, stride):
+        for in_extent in range(1, 10):
+            for kernel in range(1, 8):
+                for padding in range(kernel):
+                    dense = (in_extent - 1) * stride - 2 * padding + kernel
+                    for output_padding in range(stride):
+                        out_extent = dense + output_padding
+                        if out_extent <= 0:
+                            continue
+                        expected = _reference_taps(
+                            in_extent, out_extent, kernel, stride, padding
+                        )
+                        taps = consequential_taps_along_extent(
+                            in_extent, out_extent, kernel, stride, padding
+                        )
+                        assert taps == expected, (in_extent, kernel, padding, out_extent)
+                        assert _phase_taps(taps, stride) == _reference_phase_taps(
+                            taps, stride
+                        )
+
+    @pytest.mark.parametrize(
+        "layer,shape",
+        [
+            (
+                TransposedConvLayer(
+                    name="t1", out_channels=2, kernel=5, stride=3, padding=1, rank=1
+                ),
+                FeatureMapShape(channels=3, spatial=(7,)),
+            ),
+            (
+                TransposedConvLayer(
+                    name="t2",
+                    out_channels=2,
+                    kernel=(4, 3),
+                    stride=(2, 3),
+                    padding=(1, 0),
+                    output_padding=(1, 0),
+                ),
+                FeatureMapShape.image(2, 5, 4),
+            ),
+            (
+                TransposedConvLayer(
+                    name="t3", out_channels=1, kernel=(3, 4, 5), stride=(1, 2, 3),
+                    padding=(2, 1, 0), rank=3,
+                ),
+                FeatureMapShape.volume(2, 3, 4, 3),
+            ),
+        ],
+        ids=["rank1", "rank2", "rank3"],
+    )
+    def test_layer_count_matches_bruteforce(self, layer, shape):
         assert layer.consequential_macs(shape) == count_consequential_macs_bruteforce(
             layer, shape
         )
