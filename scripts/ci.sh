@@ -8,7 +8,12 @@
 #   2. the runner benchmarks, which enforce the warm-cache >= 5x speedup
 #      contract, the serial/pooled/warm parity of the sweep results, the
 #      six-GAN comparison-grid wall-clock budget, and the layer-memo >= 5x
-#      speedup contract on a synthetic family sweep;
+#      speedup contract on a synthetic family sweep; and the cycle-level
+#      machine benchmarks, which check the machine's outputs against NumPy,
+#      require the dense dataflow to execute > 1.5x the GANAX dataflow's PE
+#      µops on the paper's running example, and report machine cycles and
+#      host µs per machine cycle (including a 16x16 K4/s2 layer on 8x4 PEs)
+#      with no timing bound;
 #   3. an accelerator-registry smoke: a Session runs one small workload
 #      through every registered accelerator and fails if the registry is
 #      thinner than expected or any registered model cannot complete it;
@@ -59,11 +64,14 @@ export PYTHONPATH
 echo "== tier-1 tests =="
 python -m pytest -x -q -p no:cacheprovider "$@"
 
-echo "== runner + layer-memo + DSE + workload + streaming + telemetry + schedule benchmarks (parity + cache + overhead contracts) =="
+echo "== runner + layer-memo + DSE + workload + streaming + telemetry + schedule + machine benchmarks (parity + cache + overhead contracts) =="
 python -m pytest benchmarks/bench_runner.py benchmarks/bench_layercache.py \
     benchmarks/bench_dse.py benchmarks/bench_workloads.py \
     benchmarks/bench_streaming.py benchmarks/bench_telemetry.py \
     benchmarks/bench_schedule.py -q \
+    -p no:cacheprovider --benchmark-disable-gc
+# -s: the machine benchmarks print their cycle and host-cost report
+python -m pytest benchmarks/bench_machine.py -q -s \
     -p no:cacheprovider --benchmark-disable-gc
 
 echo "== accelerator registry smoke (Session over every registered model) =="

@@ -30,6 +30,7 @@ module to be visible to :class:`~repro.runner.ProcessPoolBackend`.
 
 from __future__ import annotations
 
+import importlib
 import inspect
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
@@ -92,6 +93,14 @@ class AcceleratorSpec:
 _REGISTRY: Dict[str, AcceleratorSpec] = {}
 _builtins_loaded = False
 
+#: Each built-in name and the module that registers it.
+_BUILTIN_HOMES: Dict[str, str] = {
+    "eyeriss": "repro.baseline.simulator",
+    "ganax": "repro.core.simulator",
+    "ganax-noskip": "repro.accelerators.variants",
+    "ideal": "repro.accelerators.variants",
+}
+
 
 def _load_builtin_accelerators() -> None:
     """Import the modules that register the built-in accelerators.
@@ -104,9 +113,8 @@ def _load_builtin_accelerators() -> None:
     if _builtins_loaded:
         return
     _builtins_loaded = True
-    from ..baseline import simulator as _baseline_simulator  # noqa: F401
-    from ..core import simulator as _core_simulator  # noqa: F401
-    from . import variants  # noqa: F401
+    for home in dict.fromkeys(_BUILTIN_HOMES.values()):
+        importlib.import_module(home)
 
 
 def _normalize_name(name: str) -> str:
@@ -137,9 +145,13 @@ def register_accelerator(
     key = _normalize_name(name)
 
     def decorator(obj: AcceleratorFactory) -> AcceleratorFactory:
-        # Load the builtins first (no-op while they are mid-import) so a
-        # custom registration can never accidentally shadow a built-in name.
-        _load_builtin_accelerators()
+        # A built-in name registered from outside its home module loads the
+        # builtins first, so it can never shadow one.  Registering from a
+        # home module loads nothing: the built-ins import each other's
+        # dependencies, and loading them here would close an import cycle.
+        home = _BUILTIN_HOMES.get(key)
+        if home is not None and getattr(obj, "__module__", None) != home:
+            _load_builtin_accelerators()
         if key in _REGISTRY:
             raise ConfigurationError(
                 f"accelerator '{key}' is already registered; "

@@ -20,14 +20,30 @@ is passed explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Mapping, Optional, Sequence
 
 from ..config import ArchitectureConfig, SimulationOptions
 from ..errors import AnalysisError
 from ..nn.network import GANModel
-from ..runner import COMPARISON_PAIR, SimulationRunner, get_default_runner
 from .metrics import geometric_mean
 from .results import ComparisonResult, MultiComparison
+
+if TYPE_CHECKING:
+    from ..runner import SimulationRunner
+
+
+def _resolve_runner(runner: Optional[SimulationRunner]) -> SimulationRunner:
+    """``runner``, or the process-wide default when None.
+
+    The runner package sits above this one: it imports
+    :mod:`repro.analysis.results`, which loads this package first, so the
+    runner is imported on use rather than at module level.
+    """
+    if runner is not None:
+        return runner
+    from ..runner import get_default_runner
+
+    return get_default_runner()
 
 
 def build_labelled_configs(
@@ -102,7 +118,7 @@ def compare_model(
     runner: Optional[SimulationRunner] = None,
 ) -> ComparisonResult:
     """Run one GAN on both accelerators with a shared configuration."""
-    runner = runner or get_default_runner()
+    runner = _resolve_runner(runner)
     return runner.compare_model(model, config, options)
 
 
@@ -115,7 +131,7 @@ def compare_models(
     """Run every GAN on both accelerators; returns name -> comparison."""
     if not models:
         raise AnalysisError("no models provided")
-    runner = runner or get_default_runner()
+    runner = _resolve_runner(runner)
     return runner.compare_models(models, config, options)
 
 
@@ -136,7 +152,7 @@ def compare_accelerators(
     """
     if not models:
         raise AnalysisError("no models provided")
-    runner = runner or get_default_runner()
+    runner = _resolve_runner(runner)
     return runner.compare_accelerators(models, accelerators, baseline, config, options)
 
 
@@ -201,7 +217,9 @@ class ParameterSweep:
         """Streaming counterpart of :meth:`run_configs`; see :meth:`iter_points`."""
         if not labelled_configs:
             raise AnalysisError("a sweep needs at least one configuration")
-        runner = self._runner or get_default_runner()
+        from ..runner import COMPARISON_PAIR
+
+        runner = _resolve_runner(self._runner)
         # Unique names: the stream collapses equivalent workload spellings
         # (e.g. "DCGAN" and "dcgan@64x64") to one group, exactly as the
         # batch path's per-name comparison dict does.
@@ -227,7 +245,7 @@ class ParameterSweep:
         self, labelled_configs: Mapping[str, ArchitectureConfig]
     ) -> List[SweepPoint]:
         """Submit the whole grid as one batch and assemble sweep points."""
-        runner = self._runner or get_default_runner()
+        runner = _resolve_runner(self._runner)
         grid = runner.compare_models_over_configs(
             self._models, labelled_configs, self._options
         )

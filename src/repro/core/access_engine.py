@@ -40,6 +40,9 @@ class AccessEngine:
             stream: Fifo(depth=fifo_depth, name=f"{name}.{stream.name.lower()}_fifo")
             for stream in AddressGenerator
         }
+        self._streams: Tuple[Tuple[StridedIndexGenerator, Fifo[int]], ...] = tuple(
+            (self._generators[stream], self._fifos[stream]) for stream in AddressGenerator
+        )
 
     # ------------------------------------------------------------------
     # Configuration (access.cfg / access.start / access.stop µops)
@@ -68,11 +71,29 @@ class AccessEngine:
         return self._fifos[stream]
 
     @property
+    def generating(self) -> bool:
+        """True while any generator is running."""
+        for generator, _ in self._streams:
+            if generator.running:
+                return True
+        return False
+
+    @property
     def busy(self) -> bool:
         """True while any generator is running or any FIFO holds addresses."""
-        return any(g.running for g in self._generators.values()) or any(
-            not f.is_empty for f in self._fifos.values()
-        )
+        return self.generating or any(not f.is_empty for f in self._fifos.values())
+
+    def save_state(self) -> Tuple:
+        """Every generator's and FIFO's state as a restorable tuple."""
+        return tuple(part.save_state() for part in self._parts())
+
+    def load_state(self, state: Tuple) -> None:
+        """Restore what :meth:`save_state` returned (possibly another engine's)."""
+        for part, part_state in zip(self._parts(), state):
+            part.load_state(part_state)
+
+    def _parts(self) -> list:
+        return [part for stream in self._streams for part in stream]
 
     def pending_addresses(self, stream: AddressGenerator) -> int:
         return self._fifos[stream].occupancy
@@ -83,20 +104,17 @@ class AccessEngine:
     def tick(self) -> int:
         """Advance all generators one cycle; returns addresses produced."""
         produced = 0
-        for stream, generator in self._generators.items():
-            fifo = self._fifos[stream]
-            if not generator.running:
-                continue
-            if fifo.is_full:
-                # Back-pressure: a full address FIFO stalls its generator.
+        for generator, fifo in self._streams:
+            # Back-pressure: a full address FIFO stalls its generator.
+            if not generator.running or fifo.is_full:
                 continue
             address = generator.tick()
             if address is None:
                 continue
             fifo.push(address)
             produced += 1
-            if self._counters is not None:
-                self._counters.index_generations += 1
+        if produced and self._counters is not None:
+            self._counters.index_generations += produced
         return produced
 
     # ------------------------------------------------------------------

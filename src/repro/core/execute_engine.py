@@ -10,14 +10,19 @@ describes.
 Supported operations mirror the SIMD µop group: ``add``, ``mul``, ``mac``,
 ``pool``, ``act`` plus the ``repeat`` prefix that re-executes the following
 µop a register-defined number of times.
+
+The µop FIFO, the repeat logic and the address pops are control; the
+accumulator and the buffer reads and writes are data.  An engine normally
+applies its data effects to its own PE only.  While a processing vector runs
+in lockstep (see :mod:`repro.core.machine`), the engine of the PV's first PE
+is given every PE's engine as a *lane* and applies each data effect to all of
+them, with the shared event counters scaled to match.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Optional
-
-import numpy as np
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from ..errors import SimulationError
 from ..hw.counters import EventCounters
@@ -62,6 +67,11 @@ class ExecuteEngine:
         self._executed_uops = 0
         self._busy_cycles = 0
         self._stall_cycles = 0
+        # The engines this one's data effects land on, itself first.  Empty
+        # means itself alone: holding ``(self,)`` would make every engine a
+        # reference cycle that only the cyclic collector could free.
+        self._lanes: Tuple[ExecuteEngine, ...] = ()
+        self._width = 1
 
     # ------------------------------------------------------------------
     # State
@@ -113,6 +123,42 @@ class ExecuteEngine:
     def reset_accumulator(self) -> None:
         self._accumulator = 0.0
 
+    def set_lanes(self, lanes: Sequence["ExecuteEngine"]) -> None:
+        """Apply every data effect to ``lanes`` (this engine first) from now on."""
+        if not lanes or lanes[0] is not self:
+            raise SimulationError(f"{self._name}: an engine must be its own first lane")
+        self._lanes = tuple(lanes) if len(lanes) > 1 else ()
+        self._width = len(lanes)
+
+    def credit_stall_cycles(self, cycles: int) -> None:
+        """Account ``cycles`` ticks with nothing to execute, as :meth:`tick` would."""
+        self._stall_cycles += cycles
+
+    def save_state(self) -> Tuple:
+        """Control state and statistics; the accumulator (data) is left out."""
+        return (
+            self._uop_fifo.save_state(),
+            self._repeat_register,
+            self._pending_repeats,
+            self._pending_uop,
+            self._executed_uops,
+            self._busy_cycles,
+            self._stall_cycles,
+        )
+
+    def load_state(self, state: Tuple) -> None:
+        """Restore what :meth:`save_state` returned (possibly another engine's)."""
+        (
+            fifo_state,
+            self._repeat_register,
+            self._pending_repeats,
+            self._pending_uop,
+            self._executed_uops,
+            self._busy_cycles,
+            self._stall_cycles,
+        ) = state
+        self._uop_fifo.load_state(fifo_state)
+
     # ------------------------------------------------------------------
     # Cycle behaviour
     # ------------------------------------------------------------------
@@ -155,15 +201,13 @@ class ExecuteEngine:
                 raise SimulationError(
                     f"{self._name}: repeat µop must be followed by an execute µop"
                 )
-            if self._counters is not None:
-                self._counters.uop_fetches += 2
+            self._counters.uop_fetches += 2 * self._width
             count = head.count if head.count > 0 else self._repeat_register
             self._pending_uop = follower
             self._pending_repeats = count - 1
             return follower
         uop = self._uop_fifo.pop()
-        if self._counters is not None:
-            self._counters.uop_fetches += 1
+        self._counters.uop_fetches += self._width
         return uop
 
     def _requeue(self, uop: ExecuteUop) -> None:
@@ -195,16 +239,16 @@ class ExecuteEngine:
         in_addr = self._access.pop_address(AddressGenerator.INPUT)
         w_addr = self._access.pop_address(AddressGenerator.WEIGHT)
         assert in_addr is not None and w_addr is not None
-        a = self._input.read(in_addr)
-        b = self._weight.read(w_addr)
-        if op is ExecuteOp.MAC:
-            self._accumulator += a * b
-        elif op is ExecuteOp.MUL:
-            self._accumulator = a * b
-        else:  # ADD
-            self._accumulator = a + b
-        if self._counters is not None:
-            self._counters.mac_ops += 1
+        for lane in self._lanes or (self,):
+            a = lane._input.read(in_addr)
+            b = lane._weight.read(w_addr)
+            if op is ExecuteOp.MAC:
+                lane._accumulator += a * b
+            elif op is ExecuteOp.MUL:
+                lane._accumulator = a * b
+            else:  # ADD
+                lane._accumulator = a + b
+        self._counters.mac_ops += self._width
         return True
 
     def _execute_activation(self, activation: str) -> bool:
@@ -215,10 +259,10 @@ class ExecuteEngine:
         function = _ACTIVATIONS.get(activation)
         if function is None:
             raise SimulationError(f"{self._name}: unknown activation '{activation}'")
-        self._output.write(out_addr, function(self._accumulator))
-        self._accumulator = 0.0
-        if self._counters is not None:
-            self._counters.alu_ops += 1
+        for lane in self._lanes or (self,):
+            lane._output.write(out_addr, function(lane._accumulator))
+            lane._accumulator = 0.0
+        self._counters.alu_ops += self._width
         return True
 
     def _execute_pool(self) -> bool:
@@ -228,14 +272,14 @@ class ExecuteEngine:
             and self._access.has_address(AddressGenerator.OUTPUT)
         ):
             return False
-        values = []
+        in_addrs = []
         while self._access.has_address(AddressGenerator.INPUT):
             addr = self._access.pop_address(AddressGenerator.INPUT)
             assert addr is not None
-            values.append(self._input.read(addr))
+            in_addrs.append(addr)
         out_addr = self._access.pop_address(AddressGenerator.OUTPUT)
         assert out_addr is not None
-        self._output.write(out_addr, max(values))
-        if self._counters is not None:
-            self._counters.alu_ops += len(values)
+        for lane in self._lanes or (self,):
+            lane._output.write(out_addr, max(lane._input.read(addr) for addr in in_addrs))
+        self._counters.alu_ops += len(in_addrs) * self._width
         return True

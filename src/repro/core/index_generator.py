@@ -29,7 +29,7 @@ Two common configurations used by the layer compiler:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from ..errors import SimulationError
 from ..isa.uops import ConfigRegister
@@ -158,6 +158,22 @@ class StridedIndexGenerator:
     @property
     def addresses_generated(self) -> int:
         return self._generated
+
+    def save_state(self) -> Tuple:
+        """Registers, counter position and statistics as a restorable tuple."""
+        c = self._config
+        return (
+            (c.addr, c.offset, c.step, c.end, c.repeat),
+            self._current,
+            self._repeats_left,
+            self._running,
+            self._generated,
+        )
+
+    def load_state(self, state: Tuple) -> None:
+        """Restore what :meth:`save_state` returned (possibly another generator's)."""
+        config, self._current, self._repeats_left, self._running, self._generated = state
+        self._config = GeneratorConfig(*config)
 
     # ------------------------------------------------------------------
     # Cycle behaviour

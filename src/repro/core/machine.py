@@ -28,12 +28,46 @@ One global µop is dispatched per cycle, in program order:
 
 Broadcasts apply back-pressure: if any destination µop FIFO is full the
 global µop retries on the next cycle.
+
+Execution model
+---------------
+The model is defined as if every PE ticked on every cycle, after that
+cycle's dispatch.  :meth:`GanaxMachine.run` computes exactly that result
+with much less host work, in two ways.
+
+*PV lockstep.*  Dispatch only ever addresses whole PVs, so all PEs of a PV
+hold the same control state (generators, FIFOs, repeat logic, counters) and
+differ only in their data (buffers, accumulator).  A run therefore gangs each
+PV behind its first PE (:meth:`ProcessingVector.enter_lockstep`): dispatch
+writes the lead's control state only, the lead ticks once per cycle for the
+whole PV, and every data effect — MAC/MUL/ADD on each PE's own buffers and
+accumulator, ``act`` and ``pool`` writes — is replayed on all PEs, with the
+shared event counters scaled by the PE count.  When the run ends the other
+PEs take over the lead's control state, so a run that returns leaves every
+PE as per-PE ticking would have left it.  (A run that raises still leaves
+each PV's PEs in step.)
+
+*Sleep and wake.*  A PV whose lead has no running generator, an empty µop
+FIFO and no pending repeat would only count a cycle and an execute stall per
+tick.  Such a PV sleeps: it is not ticked until a dispatch gives it work
+(``access.start`` of a generator with work, or a µop broadcast), and the
+cycles it slept are then credited to its cycle and stall counters exactly.
+The run ends when the global stream is exhausted and every PV sleeps; the
+busy state is tracked as PVs fall asleep and wake, not rescanned per cycle.
+If a sleeping PV still holds addresses nothing will consume, the program is
+deadlocked, and the run fails as it would have at ``max_cycles``.
+
+*Divergence.*  A run starts only if the PEs of each PV agree on their control
+state.  A PE driven on its own (say, through
+:meth:`ProcessingEngine.set_repeat_register`) makes the run raise
+:class:`SimulationError` rather than be simulated wrongly.  The public PV
+methods always drive all of a PV's PEs and keep them in step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..config import ArchitectureConfig
 from ..errors import SimulationError
@@ -49,6 +83,7 @@ from ..isa.uops import (
     MimdLoad,
     RepeatUop,
 )
+from .pe import ProcessingEngine
 from .pv import ProcessingVector
 from .uop_buffers import GlobalUopBuffer
 
@@ -103,6 +138,11 @@ class GanaxMachine:
         self._cycle = 0
         self._dispatched = 0
         self._dispatch_stalls = 0
+        # Lockstep run state (see "Execution model"): each PV's lead PE, the
+        # awake leads, and the cycle each PV fell asleep (None while awake).
+        self._leads: List[ProcessingEngine] = []
+        self._awake: List[ProcessingEngine] = []
+        self._asleep_since: List[Optional[int]] = []
 
     # ------------------------------------------------------------------
     # Accessors
@@ -155,13 +195,15 @@ class GanaxMachine:
         start_cycle = self._cycle
         start_dispatched = self._dispatched
         start_stalls = self._dispatch_stalls
-        while self.busy:
-            if self._cycle - start_cycle >= max_cycles:
-                raise SimulationError(
-                    f"machine did not finish within {max_cycles} cycles; "
-                    "the program is likely deadlocked"
-                )
-            self.step()
+        self._leads = []
+        try:
+            for pv in self._pvs:
+                self._leads.append(pv.enter_lockstep())
+            self._run_lockstep(start_cycle, max_cycles)
+        finally:
+            for pv in self._pvs[: len(self._leads)]:
+                pv.leave_lockstep()
+            self._leads = []
         busy = sum(pe.execute.busy_cycles for pv in self._pvs for pe in pv.pes)
         stalls = sum(pe.execute.stall_cycles for pv in self._pvs for pe in pv.pes)
         executed = sum(pe.execute.executed_uops for pv in self._pvs for pe in pv.pes)
@@ -174,70 +216,112 @@ class GanaxMachine:
             pe_stall_cycles=stalls,
         )
 
-    def step(self) -> None:
-        """Advance the whole machine by one cycle."""
-        self._cycle += 1
-        self._dispatch_one()
-        for pv in self._pvs:
-            pv.tick()
+    def _run_lockstep(self, start_cycle: int, max_cycles: int) -> None:
+        """Cycle the machine to completion with every PV ganged behind its lead."""
+        leads = self._leads
+        buffer = self._global_buffer
+        limit = start_cycle + max_cycles
+        self._asleep_since = [None if lead.has_work else self._cycle for lead in leads]
+        self._awake = [lead for lead in leads if lead.has_work]
+        try:
+            while True:
+                uop = buffer.peek()
+                if uop is None and not self._awake:
+                    break
+                if self._cycle >= limit:
+                    raise _deadlock(max_cycles)
+                self._cycle += 1
+                if uop is not None:
+                    if self._try_dispatch(uop):
+                        buffer.advance()
+                        self._dispatched += 1
+                    else:
+                        self._dispatch_stalls += 1
+                awake = self._awake
+                for lead in awake[:]:  # a copy: leads fall asleep meanwhile
+                    lead.tick()
+                    if not lead.has_work:
+                        awake.remove(lead)
+                        self._asleep_since[lead.pv_index] = self._cycle
+            if any(lead.busy for lead in leads):
+                # Addresses wait in a FIFO and no µop is left to consume them:
+                # per-PE ticking would idle up to the limit, then give up.
+                self._cycle = limit
+                raise _deadlock(max_cycles)
+        finally:
+            for lead, since in zip(leads, self._asleep_since):
+                if since is not None:
+                    lead.skip_idle(self._cycle - since)
+
+    def _wake(self, lead: ProcessingEngine) -> None:
+        """A dispatch gave ``lead``'s PV work: credit its sleep, tick it again."""
+        since = self._asleep_since[lead.pv_index]
+        if since is None or not lead.has_work:
+            return
+        # it sleeps through the cycles before this one; this one it ticks
+        lead.skip_idle(self._cycle - 1 - since)
+        self._asleep_since[lead.pv_index] = None
+        self._awake.append(lead)
 
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
-    def _dispatch_one(self) -> None:
-        uop = self._global_buffer.peek()
-        if uop is None:
-            return
-        if self._try_dispatch(uop):
-            self._global_buffer.advance()
-            self._dispatched += 1
-        else:
-            self._dispatch_stalls += 1
+    def _lead(self, index: int) -> ProcessingEngine:
+        if not (0 <= index < len(self._leads)):
+            raise SimulationError(f"PV index {index} out of range")
+        return self._leads[index]
 
     def _try_dispatch(self, uop: MicroOp) -> bool:
         if isinstance(uop, AccessCfg):
-            pv = self.pv(uop.pv_index)
-            if pv.any_generator_running(uop.generator):
+            lead = self._lead(uop.pv_index)
+            if lead.generator_running(uop.generator):
                 return False
-            pv.apply_access_cfg(uop.generator, uop.register, uop.immediate)
+            lead.apply_access_cfg(uop.generator, uop.register, uop.immediate)
             return True
         if isinstance(uop, AccessStart):
-            pv = self.pv(uop.pv_index)
-            if pv.any_generator_running(uop.generator):
+            lead = self._lead(uop.pv_index)
+            if lead.generator_running(uop.generator):
                 return False
-            pv.start_generator(uop.generator)
+            lead.start_generator(uop.generator)
+            self._wake(lead)
             return True
         if isinstance(uop, AccessStop):
-            self.pv(uop.pv_index).stop_generator(uop.generator)
+            self._lead(uop.pv_index).stop_generator(uop.generator)
             return True
         if isinstance(uop, MimdLoad):
-            pv = self.pv(uop.pv_index)
+            lead = self._lead(uop.pv_index)
             if uop.destination == "repeat":
-                pv.set_repeat_register(uop.immediate)
+                lead.set_repeat_register(uop.immediate)
                 return True
             raise SimulationError(
                 f"mimd.ld destination '{uop.destination}' is not modelled"
             )
         if isinstance(uop, (ExecuteUop, RepeatUop)):
             # SIMD mode: broadcast to every PE of every PV; all-or-nothing.
-            if any(
-                any(pe.execute.uop_fifo.is_full for pe in pv.pes) for pv in self._pvs
-            ):
+            if self._any_uop_fifo_full():
                 return False
-            for pv in self._pvs:
-                pv.broadcast_uop(uop)
+            self._enqueue([uop] * len(self._leads))
             return True
         if isinstance(uop, MimdExecute):
             # MIMD-SIMD mode: per-PV local fetch; all-or-nothing so the PVs
             # stay aligned with the global stream.
-            if any(
-                any(pe.execute.uop_fifo.is_full for pe in pv.pes) for pv in self._pvs
-            ):
+            if self._any_uop_fifo_full():
                 return False
-            for pv, index in zip(self._pvs, uop.local_indices):
-                pv.dispatch_local(index)
+            self._enqueue(
+                pv.local_buffer.fetch(index)
+                for pv, index in zip(self._pvs, uop.local_indices)
+            )
             return True
         raise SimulationError(f"cannot dispatch µop {uop!r}")
+
+    def _any_uop_fifo_full(self) -> bool:
+        return any(lead.execute.uop_fifo.is_full for lead in self._leads)
+
+    def _enqueue(self, uops: Iterable[MicroOp]) -> None:
+        """Give each PV in turn its µop (SIMD within the PV)."""
+        for lead, uop in zip(self._leads, uops):
+            lead.enqueue_uop(uop)
+            self._wake(lead)
 
     # ------------------------------------------------------------------
     # Data-side helpers used by the layer executor
@@ -256,3 +340,10 @@ class GanaxMachine:
 
     def accumulate_pv(self, pv_index: int, width: int, active_pes: int) -> List[float]:
         return self.pv(pv_index).accumulate_rows(width, active_pes=active_pes)
+
+
+def _deadlock(max_cycles: int) -> SimulationError:
+    return SimulationError(
+        f"machine did not finish within {max_cycles} cycles; "
+        "the program is likely deadlocked"
+    )

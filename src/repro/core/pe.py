@@ -13,11 +13,23 @@ The PE exposes a single :meth:`tick` that advances both µ-engines by one
 cycle; they communicate only through the address FIFOs, so either engine can
 run ahead of (or stall behind) the other — the decoupled access-execute
 behaviour the paper relies on to amortise MIMD overheads.
+
+Control and data
+----------------
+A PE's state splits in two.  *Data* is private to each PE: the three buffers
+and the accumulator.  *Control* is everything else: the generators'
+registers and positions, the address and µop FIFOs, the repeat register and
+pending repeat, and the cycle, busy, stall and executed counters.  The global
+controller only ever addresses whole processing vectors, so every PE of a PV
+carries the same control state.  The machine exploits that: while it runs a
+PV, the PV's first PE leads (:meth:`lead`) — its control path ticks once per
+cycle for the whole PV and its data effects land on every PE — and the other
+PEs take over its control state when the run ends (:meth:`load_control_state`).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..config import ArchitectureConfig
 from ..errors import SimulationError
@@ -89,6 +101,8 @@ class ProcessingEngine:
             name=f"{name}.execute",
         )
         self._cycles = 0
+        #: how many PEs this one's control path stands for (see :meth:`lead`)
+        self._width = 1
 
     # ------------------------------------------------------------------
     # Identity and sub-components
@@ -133,6 +147,15 @@ class ProcessingEngine:
     def busy(self) -> bool:
         """True while either µ-engine has outstanding work."""
         return self._access.busy or self._execute.busy
+
+    @property
+    def has_work(self) -> bool:
+        """True while a tick can change anything but the cycle and stall counts.
+
+        False means no generator is running, the µop FIFO is empty and no
+        repeat is pending; addresses may still sit in the address FIFOs.
+        """
+        return self._access.generating or self._execute.busy
 
     # ------------------------------------------------------------------
     # Control interface (driven by the global controller / PV)
@@ -185,10 +208,47 @@ class ProcessingEngine:
         self._counters.noc_transfers += words
 
     # ------------------------------------------------------------------
+    # Lockstep support (driven by the machine through the PV)
+    # ------------------------------------------------------------------
+    def lead(self, pes: Sequence["ProcessingEngine"]) -> None:
+        """Tick as the control path of ``pes`` (this PE first).
+
+        From now on every data effect of :meth:`tick` is applied to the
+        buffers and accumulator of each PE in ``pes``, and the shared event
+        counters count each event once per PE.  The other PEs' control state
+        is left untouched; copy this PE's over it with
+        :meth:`load_control_state` when done.  ``lead([self])`` ends it.
+        """
+        self._execute.set_lanes([pe.execute for pe in pes])
+        self._width = len(pes)
+
+    def save_control_state(self) -> Tuple:
+        """This PE's control state and counters (no data) as a tuple."""
+        return (self._cycles, self._access.save_state(), self._execute.save_state())
+
+    def load_control_state(self, state: Tuple) -> None:
+        """Adopt a control state from :meth:`save_control_state`; data stays."""
+        self._cycles, access_state, execute_state = state
+        self._access.load_state(access_state)
+        self._execute.load_state(execute_state)
+
+    def skip_idle(self, cycles: int) -> None:
+        """Account ``cycles`` ticks of a PE without work (see :attr:`has_work`).
+
+        Such a tick only advances the cycle counter and records an execute
+        stall, so skipping it and crediting both afterwards is exact.
+        """
+        self._cycles += cycles
+        self._execute.credit_stall_cycles(cycles)
+
+    # ------------------------------------------------------------------
     # Cycle behaviour
     # ------------------------------------------------------------------
     def tick(self) -> bool:
         """Advance both µ-engines one cycle; True if the execute engine worked."""
         self._cycles += 1
-        self._access.tick()
+        produced = self._access.tick()
+        if produced and self._width > 1:
+            # the led PEs' generators produced the same addresses
+            self._counters.index_generations += produced * (self._width - 1)
         return self._execute.tick()

@@ -5,6 +5,15 @@ PV always execute the same µop (SIMD), while different PVs may execute
 different µops selected by the per-PV index fields of a ``mimd.exe`` global
 µop.  The PV also performs the horizontal accumulation of the partial-sum
 rows its PEs produce, which is how an output row's value is completed.
+
+Every control input reaches a PV as a whole: the global µops that
+configure, start and stop generators, load the repeat register or deliver
+execute µops each name a PV, never a PE, and the methods below that feed
+the PEs do so for all of them.  So the control state (generators, FIFOs,
+repeat logic, cycle counters) is per PV in effect, and only the data (each
+PE's buffers and accumulator) is per PE.  The machine runs a PV in lockstep
+on that basis (:meth:`enter_lockstep`): one control path, the first PE's,
+ticks for the whole PV.
 """
 
 from __future__ import annotations
@@ -14,13 +23,7 @@ from typing import List, Optional, Sequence
 from ..config import ArchitectureConfig
 from ..errors import SimulationError
 from ..hw.counters import EventCounters
-from ..isa.uops import (
-    AddressGenerator,
-    ConfigRegister,
-    ExecuteUop,
-    MicroOp,
-    RepeatUop,
-)
+from ..isa.uops import ExecuteUop, MicroOp, RepeatUop
 from .pe import ProcessingEngine
 from .uop_buffers import LocalUopBuffer
 
@@ -96,62 +99,68 @@ class ProcessingVector:
         return self._pes[index]
 
     # ------------------------------------------------------------------
-    # Dispatch interface (called by the global controller)
+    # Control interface (drives every PE of the PV)
     # ------------------------------------------------------------------
     def preload_local_uops(self, uops: Sequence[MicroOp]) -> None:
         self._local_buffer.preload(uops)
 
-    def broadcast_uop(self, uop: MicroOp, pes: Optional[Sequence[int]] = None) -> bool:
+    def broadcast_uop(self, uop: MicroOp) -> bool:
         """Broadcast an execute-group µop to the PEs (SIMD within the PV).
 
-        Returns False — and enqueues nothing — when any target µop FIFO is
-        full, so the controller can retry next cycle (back-pressure).
+        Returns False — and enqueues nothing — when any µop FIFO is full, so
+        the controller can retry next cycle (back-pressure).
         """
         if not isinstance(uop, (ExecuteUop, RepeatUop)):
             raise SimulationError(f"PV cannot broadcast {uop!r}")
-        targets = self._pes if pes is None else [self._pes[i] for i in pes]
-        if any(pe.execute.uop_fifo.is_full for pe in targets):
+        if any(pe.execute.uop_fifo.is_full for pe in self._pes):
             return False
         # A RepeatUop and its follower must land in the FIFO together, so the
         # caller dispatches them as separate global µops; FIFO depth >= 2
         # guarantees both fit eventually.
-        for pe in targets:
+        for pe in self._pes:
             if not pe.enqueue_uop(uop):  # pragma: no cover - guarded above
                 raise SimulationError("µop FIFO overflow despite capacity check")
         return True
 
-    def dispatch_local(self, index: int, pes: Optional[Sequence[int]] = None) -> bool:
+    def dispatch_local(self, index: int) -> bool:
         """MIMD-SIMD dispatch: fetch local µop ``index`` and broadcast it."""
-        uop = self._local_buffer.fetch(index)
-        return self.broadcast_uop(uop, pes=pes)
-
-    def apply_access_cfg(
-        self, generator: AddressGenerator, register: ConfigRegister, value: int
-    ) -> None:
-        for pe in self._pes:
-            pe.apply_access_cfg(generator, register, value)
-
-    def start_generator(self, generator: AddressGenerator) -> None:
-        for pe in self._pes:
-            pe.start_generator(generator)
-
-    def stop_generator(self, generator: AddressGenerator) -> None:
-        for pe in self._pes:
-            pe.stop_generator(generator)
-
-    def any_generator_running(self, generator: AddressGenerator) -> bool:
-        return any(pe.generator_running(generator) for pe in self._pes)
+        return self.broadcast_uop(self._local_buffer.fetch(index))
 
     def set_repeat_register(self, value: int) -> None:
         for pe in self._pes:
             pe.set_repeat_register(value)
 
     # ------------------------------------------------------------------
-    # Cycle behaviour
+    # Lockstep execution (driven by the machine)
     # ------------------------------------------------------------------
-    def tick(self) -> int:
-        """Advance every PE one cycle; returns how many PEs did useful work."""
-        return sum(1 for pe in self._pes if pe.tick())
+    def enter_lockstep(self) -> ProcessingEngine:
+        """Make the first PE lead the PV; returns it.
+
+        Until :meth:`leave_lockstep`, the machine drives and ticks only the
+        lead: its control path stands for every PE and its data effects land
+        on all of them.  Raises :class:`SimulationError` if the PEs' control
+        states differ (a PE was driven on its own), because one control path
+        could not reproduce them.
+        """
+        lead, *others = self._pes
+        state = lead.save_control_state()
+        for pe in others:
+            if pe.save_control_state() != state:
+                raise SimulationError(
+                    f"PV {self._pv_index}: PE {pe.pe_index} has a different control "
+                    "state from PE 0, so the PV cannot run in lockstep; drive "
+                    "all PEs of a PV alike"
+                )
+        lead.lead(self._pes)
+        return lead
+
+    def leave_lockstep(self) -> None:
+        """End lockstep: every PE takes over the lead's control state."""
+        lead, *others = self._pes
+        lead.lead([lead])
+        state = lead.save_control_state()
+        for pe in others:
+            pe.load_control_state(state)
 
     # ------------------------------------------------------------------
     # Horizontal accumulation

@@ -9,7 +9,7 @@ index generator and an empty µop / address FIFO stalls the execute engine.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Generic, Iterator, List, Optional, TypeVar
+from typing import Deque, Generic, Iterator, List, Optional, Tuple, TypeVar
 
 from ..errors import FifoError
 
@@ -118,6 +118,21 @@ class Fifo(Generic[T]):
     @property
     def empty_stalls(self) -> int:
         return self._empty_stalls
+
+    def save_state(self) -> Tuple:
+        """Contents and statistics as a comparable, restorable tuple."""
+        return (
+            tuple(self._items),
+            self._pushes,
+            self._pops,
+            self._full_stalls,
+            self._empty_stalls,
+        )
+
+    def load_state(self, state: Tuple) -> None:
+        """Restore what :meth:`save_state` returned (possibly another FIFO's)."""
+        items, self._pushes, self._pops, self._full_stalls, self._empty_stalls = state
+        self._items = deque(items)
 
     def snapshot(self) -> List[T]:
         """Copy of the queued items, oldest first (for tests/debugging)."""

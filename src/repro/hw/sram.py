@@ -43,6 +43,7 @@ class Scratchpad:
         if words <= 0:
             raise BufferError_(f"{name}: capacity must be positive, got {words}")
         self._name = name
+        self._words = words
         self._data = np.zeros(words, dtype=np.float64)
         self._valid = np.zeros(words, dtype=bool)
         self._counters = counters
@@ -60,7 +61,7 @@ class Scratchpad:
 
     @property
     def capacity(self) -> int:
-        return int(self._data.shape[0])
+        return self._words
 
     @property
     def reads(self) -> int:
@@ -74,7 +75,7 @@ class Scratchpad:
     # Access
     # ------------------------------------------------------------------
     def _check_address(self, address: int) -> None:
-        if not (0 <= address < self.capacity):
+        if not (0 <= address < self._words):
             raise BufferError_(
                 f"{self._name}: address {address} out of range [0, {self.capacity})"
             )
